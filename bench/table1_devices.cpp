@@ -5,10 +5,13 @@
 
 #include "gpusim/device.hpp"
 #include "perfmodel/report.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main() {
+int table_main(int argc, char** argv) {
+  // No options: anything passed is a typo, not a silent no-op.
+  mlbm::Cli(argc, argv).reject_unknown();
   using mlbm::gpusim::DeviceSpec;
   const DeviceSpec v100 = DeviceSpec::v100();
   const DeviceSpec mi100 = DeviceSpec::mi100();
@@ -54,4 +57,8 @@ int main() {
   csv.row({"memory_gb", mlbm::CsvWriter::num(v100.memory_gb),
            mlbm::CsvWriter::num(mi100.memory_gb)});
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, table_main);
 }

@@ -16,7 +16,7 @@
 #include "workloads/analytic.hpp"
 #include "workloads/channel.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace mlbm;
   const Cli cli(argc, argv);
   cli.reject_unknown({"nx", "ny", "nz", "steps", "tau", "umax", "vtk"});
@@ -82,4 +82,8 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", cli.get("vtk", "channel3d.vtk").c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

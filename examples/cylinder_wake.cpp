@@ -19,7 +19,7 @@
 #include "util/cli.hpp"
 #include "workloads/cylinder_wake.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace mlbm;
   const Cli cli(argc, argv);
   cli.reject_unknown({"d", "pattern", "precision", "re", "sanitize", "steps",
@@ -91,4 +91,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

@@ -19,7 +19,7 @@
 #include "util/cli.hpp"
 #include "workloads/cavity.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace mlbm;
   const Cli cli(argc, argv);
   cli.reject_unknown({"n", "pattern", "precision", "re", "sanitize", "steps", "ulid", "vtk"});
@@ -101,4 +101,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

@@ -186,7 +186,7 @@ int run(const Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   const mlbm::Cli cli(argc, argv);
   cli.reject_unknown({"devices", "lattice", "load", "nx", "ny", "nz", "pattern", "save", "steps", "tau", "umax", "vtk", "workload"});
   const std::string lattice = cli.get("lattice", "d2q9");
@@ -200,4 +200,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mlbm_proxy: %s\n", e.what());
   }
   return 1;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

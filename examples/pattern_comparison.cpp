@@ -15,7 +15,7 @@
 #include "util/table.hpp"
 #include "workloads/channel.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace mlbm;
   const Cli cli(argc, argv);
   cli.reject_unknown({"nx", "ny", "steps"});
@@ -67,4 +67,8 @@ int main(int argc, char** argv) {
               resumed.moments_at(nx / 2, ny / 2, 0).u[0]);
   std::filesystem::remove(ckpt);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

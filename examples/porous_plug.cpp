@@ -102,7 +102,7 @@ int run(const Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   const mlbm::Cli cli(argc, argv);
   cli.reject_unknown({"lattice", "nx", "ny", "nz", "pattern", "precision",
                       "sanitize", "seed", "solid", "steps", "tau", "uin",
@@ -112,4 +112,8 @@ int main(int argc, char** argv) {
   if (lattice == "d3q19") return run<mlbm::D3Q19>(cli);
   std::fprintf(stderr, "error: --lattice must be d2q9 or d3q19\n");
   return 1;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

@@ -12,7 +12,7 @@
 #include "workloads/analytic.hpp"
 #include "workloads/channel.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace mlbm;
   const Cli cli(argc, argv);
   cli.reject_unknown({"nx", "ny", "steps", "tau", "umax", "vtk"});
@@ -57,4 +57,8 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", path.c_str());
   }
   return max_err < static_cast<real_t>(0.05) * umax ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

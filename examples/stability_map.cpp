@@ -64,7 +64,7 @@ bool survives(Scheme s, int n, real_t u0, real_t tau, int steps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace mlbm;
   const Cli cli(argc, argv);
   cli.reject_unknown({"n", "steps", "u0"});
@@ -98,4 +98,8 @@ int main(int argc, char** argv) {
       "higher Reynolds numbers at fixed resolution — the property that\n"
       "makes the moment representation's state compression available.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

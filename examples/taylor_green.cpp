@@ -22,7 +22,7 @@
 #include "workloads/analytic.hpp"
 #include "workloads/taylor_green.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace mlbm;
   const Cli cli(argc, argv);
   cli.reject_unknown({"csv", "n", "pattern", "precision", "sanitize", "steps", "tau", "u0"});
@@ -113,4 +113,8 @@ int main(int argc, char** argv) {
 
   if (csv) std::printf("\nwrote %s\n", cli.get("csv", "decay.csv").c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, example_main);
 }

@@ -19,7 +19,44 @@ std::array<int, 3> neg(const std::array<int, 3>& c) {
   return {-c[0], -c[1], -c[2]};
 }
 
+/// Every record name of flavour `tag`: the dense launches, plus the sparse
+/// tile-class launches when the flavour has a sparse path.
+std::vector<std::string> node_kernels(const std::string& tag,
+                                      const std::string& lattice,
+                                      bool sparse) {
+  std::vector<std::string> out;
+  for (const TileClass cls :
+       {TileClass::kDense, TileClass::kFluid, TileClass::kMixed}) {
+    if (cls != TileClass::kDense && !sparse) continue;
+    for (const bool frontier : {false, true}) {
+      out.push_back(node_kernel_name(tag, lattice, cls, frontier));
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+std::string node_kernel_name(const std::string& tag, const std::string& lattice,
+                             TileClass cls, bool frontier) {
+  const std::size_t dot = tag.find('.');
+  const std::string family = tag.substr(0, dot);     // st / aa / ep
+  const std::string flavour = tag.substr(dot + 1);   // pull / push / even / odd
+  std::string name;
+  if (cls != TileClass::kDense) {
+    // ST's sparse path is pull-only, so its names carry no flavour.
+    name = family + "_sparse_" + lattice +
+           (family == "st" ? "" : "_" + flavour) +
+           (cls == TileClass::kFluid ? "_fluid" : "_mixed");
+  } else if (family == "st") {
+    name = (flavour == "pull" ? "st_stream_collide_"
+                              : "st_push_collide_stream_") +
+           lattice;
+  } else {
+    name = family + "_" + flavour + "_" + lattice;
+  }
+  return frontier ? name + "_frontier" : name;
+}
 
 EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
                            bool batched_io) {
@@ -31,17 +68,8 @@ EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
 
   NodeKernelContract k;
   k.tag = push ? "st.push" : "st.pull";
-  const std::string base =
-      std::string(push ? "st_push_collide_stream_" : "st_stream_collide_") +
-      lat.name;
-  k.kernels = {base, base + "_frontier"};
-  if (!push) {
-    // The sparse path is pull-only; its tile launches obey the same contract.
-    k.kernels.push_back("st_sparse_" + lat.name + "_fluid");
-    k.kernels.push_back("st_sparse_" + lat.name + "_mixed");
-    k.kernels.push_back("st_sparse_" + lat.name + "_fluid_frontier");
-    k.kernels.push_back("st_sparse_" + lat.name + "_mixed_frontier");
-  }
+  // The sparse path is pull-only; its tile launches obey the same contract.
+  k.kernels = node_kernels(k.tag, lat.name, /*sparse=*/!push);
   if (push) {
     // Collide-then-stream: one coalesced span load of the node's own
     // populations, then Q scalar scatters to the downwind neighbours.
@@ -92,11 +120,7 @@ EngineContract aa_contract(LatticeDesc lat, int elem_bytes, bool batched_io) {
   // on the executing node's own cell, so in-place safety is immediate.
   NodeKernelContract even;
   even.tag = "aa.even";
-  even.kernels = {"aa_even_" + lat.name, "aa_even_" + lat.name + "_frontier",
-                  "aa_sparse_" + lat.name + "_even_fluid",
-                  "aa_sparse_" + lat.name + "_even_mixed",
-                  "aa_sparse_" + lat.name + "_even_fluid_frontier",
-                  "aa_sparse_" + lat.name + "_even_mixed_frontier"};
+  even.kernels = node_kernels(even.tag, lat.name, /*sparse=*/true);
   {
     AccessDesc rd;
     rd.array = 0;
@@ -116,11 +140,7 @@ EngineContract aa_contract(LatticeDesc lat, int elem_bytes, bool batched_io) {
   // every lattice word has reader == writer.
   NodeKernelContract odd;
   odd.tag = "aa.odd";
-  odd.kernels = {"aa_odd_" + lat.name, "aa_odd_" + lat.name + "_frontier",
-                 "aa_sparse_" + lat.name + "_odd_fluid",
-                 "aa_sparse_" + lat.name + "_odd_mixed",
-                 "aa_sparse_" + lat.name + "_odd_fluid_frontier",
-                 "aa_sparse_" + lat.name + "_odd_mixed_frontier"};
+  odd.kernels = node_kernels(odd.tag, lat.name, /*sparse=*/true);
   for (int i = 0; i < lat.q; ++i) {
     AccessDesc rd;
     rd.array = 0;
@@ -158,14 +178,8 @@ EngineContract ep_contract(LatticeDesc lat, int elem_bytes) {
   // reader == writer — the esoteric invariant the analyzer re-proves.
   const auto phase = [&](bool even) {
     NodeKernelContract k;
-    const std::string par = even ? "even" : "odd";
-    k.tag = "ep." + par;
-    k.kernels = {"ep_" + par + "_" + lat.name,
-                 "ep_" + par + "_" + lat.name + "_frontier",
-                 "ep_sparse_" + lat.name + "_" + par + "_fluid",
-                 "ep_sparse_" + lat.name + "_" + par + "_mixed",
-                 "ep_sparse_" + lat.name + "_" + par + "_fluid_frontier",
-                 "ep_sparse_" + lat.name + "_" + par + "_mixed_frontier"};
+    k.tag = even ? "ep.even" : "ep.odd";
+    k.kernels = node_kernels(k.tag, lat.name, /*sparse=*/true);
     for (int i = 0; i < lat.q; ++i) {
       const int j = lat.opposite[static_cast<std::size_t>(i)];
       AccessDesc rd;

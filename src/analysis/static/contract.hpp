@@ -145,6 +145,21 @@ struct EngineContract {
   }
 };
 
+// ---- distribution-engine kernel names --------------------------------------
+
+/// Which launch of a distribution engine (ST/AA/EP) a kernel record counts:
+/// the dense plane-range launch, or the all-fluid / mixed tile-list launch of
+/// a sparse geometry.
+enum class TileClass { kDense, kFluid, kMixed };
+
+/// Profiler record name of a distribution-engine launch of flavour `tag`
+/// ("st.pull", "st.push", "aa.even", "aa.odd", "ep.even", "ep.odd") on
+/// `lattice`; `frontier` names the frontier launches of a split step. The one
+/// source of these names: the engines register their records through it and
+/// the contract builders below list their kernels through it.
+std::string node_kernel_name(const std::string& tag, const std::string& lattice,
+                             TileClass cls, bool frontier);
+
 // ---- canonical contract builders ------------------------------------------
 // Shared by the engine access_contract() overrides and by mlbm-verify's
 // mutation harness (which edits the result). `batched_io` mirrors the

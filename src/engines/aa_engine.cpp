@@ -1,26 +1,87 @@
 #include "engines/aa_engine.hpp"
 
-#include "util/error.hpp"
-
-#include <algorithm>
 #include <stdexcept>
-#include <string>
-
-#include "core/lanes.hpp"
-#include "core/regularization.hpp"
-#include "engines/streaming.hpp"
-#include "gpusim/launch.hpp"
 
 namespace mlbm {
+
+/// The two AA flavours as one node body.
+///
+/// Even (node-local): read the node's own slots plainly, collide, write f*_i
+/// into the node's own slot opposite(i) — both sides one batched span.
+/// Populations whose downwind link crosses a wall receive their moving-wall
+/// bounceback correction here, at write time, where the node's density is
+/// thread-local, so the odd gather may read wall slots without touching any
+/// memory another thread rewrites in place.
+///
+/// Odd: gather f_i(x, t) = f*_i(x - c_i, t-1) from slot opposite(i) of the
+/// upwind neighbour (wall links: this node's own swapped slot i, already
+/// corrected), collide, scatter f*_i into slot i of the downwind neighbour
+/// (wall links: bounce back into this node's own plain slot opposite(i),
+/// where the next even step reads it). Word (j, m) is gathered AND
+/// scattered only by node m - c_j, so the update is race-free in place and
+/// plane-range launches touch disjoint word sets. Gathers and scatters touch
+/// Q different cells per node, so they stay scalar (no uniform stride).
+template <class L, class ST>
+template <bool kEven>
+struct AaEngine<L, ST>::Node : NodeBase<L> {
+  static constexpr bool kNodeLocal = kEven;
+  gpusim::GlobalArray<ST>* f;
+
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void gather(const Nb& nb, index_t elem, int x, int y,
+                                 int z, real_t (&fl)[L::Q]) const {
+    if constexpr (kEven) {
+      this->load_own(*f, elem, fl);
+    } else {
+      for (int i = 0; i < L::Q; ++i) {
+        const StreamTarget t = this->target(x, y, z, L::opposite(i));
+        if (t.kind == StreamTarget::Kind::kInterior) {
+          fl[i] = f->template load_as<real_t>(
+              this->soa(L::opposite(i), nb(t.x, t.y, t.z)));
+        } else {
+          fl[i] = f->template load_as<real_t>(this->soa(i, elem));
+        }
+      }
+    }
+  }
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void scatter(const Nb& nb, index_t elem, int x, int y,
+                                  int z, const real_t (&fl)[L::Q],
+                                  real_t rho_pre) const {
+    if constexpr (kEven) {
+      real_t out[L::Q];
+      for (int i = 0; i < L::Q; ++i) {
+        real_t v = fl[i];
+        const StreamTarget t = this->target(x, y, z, i);
+        if (t.kind == StreamTarget::Kind::kBounce && t.cu_wall != real_t(0)) {
+          v -= wall_term<L>(i, rho_pre, t.cu_wall);
+        }
+        out[static_cast<std::size_t>(L::opposite(i))] = v;
+      }
+      this->store_own(*f, elem, out);
+    } else {
+      for (int i = 0; i < L::Q; ++i) {
+        const StreamTarget t = this->target(x, y, z, i);
+        if (t.kind == StreamTarget::Kind::kInterior) {
+          f->template store_as<real_t>(this->soa(i, nb(t.x, t.y, t.z)), fl[i]);
+        } else {
+          f->template store_as<real_t>(this->soa(L::opposite(i), elem),
+                                       fl[i] - wall_term<L>(i, rho_pre, t.cu_wall));
+        }
+      }
+    }
+  }
+};
 
 template <class L, class ST>
 AaEngine<L, ST>::AaEngine(Geometry geo, real_t tau, CollisionScheme scheme,
                           int threads_per_block, ExecMode exec,
                           bool allow_open_faces)
-    : Engine<L>(std::move(geo), tau),
-      scheme_(scheme),
-      threads_per_block_(threads_per_block),
-      exec_(exec) {
+    // Even steps are node-local (ext 0); odd steps reach planes x-1..x+1
+    // from source x (ext 1). Disjoint source ranges touch disjoint words
+    // (unique reader == writer per word), so the launches commute.
+    : DistEngine<L, ST>(std::move(geo), tau, scheme, threads_per_block, exec,
+                        {{{"aa.even", 0}, {"aa.odd", 1}}}) {
   if (!allow_open_faces) {
     for (int axis = 0; axis < 3; ++axis) {
       for (int side = 0; side < 2; ++side) {
@@ -38,17 +99,9 @@ AaEngine<L, ST>::AaEngine(Geometry geo, real_t tau, CollisionScheme scheme,
       }
     }
   }
-  sparse_ = this->geo_.sparse();
-  if (sparse_) {
-    const TileMap& tm = this->geo_.tiles();
-    tdev_.build(tm, &prof_.counter());
-    elems_ = tm.elements();
-  } else {
-    elems_ = this->geo_.box.cells();
-  }
   const auto n =
-      static_cast<std::size_t>(elems_) * static_cast<std::size_t>(L::Q);
-  f_.allocate(n, &prof_.counter());
+      static_cast<std::size_t>(this->elems_) * static_cast<std::size_t>(L::Q);
+  f_.allocate(n, &this->prof_.counter());
 }
 
 template <class L, class ST>
@@ -56,28 +109,17 @@ void AaEngine<L, ST>::initialize(const typename Engine<L>::InitFn& init) {
   if (swapped_phase()) {
     throw std::logic_error("AaEngine: initialize() only at even timesteps");
   }
-  const Box& b = this->geo_.box;
-  const bool solids = this->geo_.has_solids();
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        if (solids && this->geo_.solid(x, y, z)) continue;
-        impose(x, y, z, init(x, y, z));
-      }
-    }
-  }
+  DistEngine<L, ST>::initialize(init);
 }
 
 template <class L, class ST>
 Moments<L> AaEngine<L, ST>::moments_at(int x, int y, int z) const {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
-    return solid_moments<L>();
-  }
-  const index_t cell = element(x, y, z);
+  if (this->solid(x, y, z)) return solid_moments<L>();
+  const index_t cell = this->element(x, y, z);
   real_t f[L::Q];
   if (!swapped_phase()) {
     for (int i = 0; i < L::Q; ++i) {
-      f[i] = static_cast<real_t>(f_.raw(soa(i, cell)));
+      f[i] = static_cast<real_t>(f_.raw(this->soa(i, cell)));
     }
     return compute_moments<L>(f);
   }
@@ -86,685 +128,46 @@ Moments<L> AaEngine<L, ST>::moments_at(int x, int y, int z) const {
   // the pre-collision state of one step ago — the AA cycle only has a
   // spatially consistent snapshot after odd steps.
   for (int i = 0; i < L::Q; ++i) {
-    f[i] = static_cast<real_t>(f_.raw(soa(L::opposite(i), cell)));
+    f[i] = static_cast<real_t>(f_.raw(this->soa(L::opposite(i), cell)));
   }
-  Moments<L> m = compute_moments<L>(f);
-  const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  if (factor != real_t(0)) {
-    for (int p = 0; p < Moments<L>::NP; ++p) {
-      const auto [a, b] = Moments<L>::pair(p);
-      const real_t eq = m.rho * m.u[static_cast<std::size_t>(a)] *
-                        m.u[static_cast<std::size_t>(b)];
-      m.pi[static_cast<std::size_t>(p)] =
-          eq + (m.pi[static_cast<std::size_t>(p)] - eq) / factor;
-    }
-  }
-  return m;
+  return unrelaxed_moments<L>(f, this->tau_);
 }
 
 template <class L, class ST>
 void AaEngine<L, ST>::impose(int x, int y, int z, const Moments<L>& m) {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) return;
-  const index_t cell = element(x, y, z);
-  real_t pineq[Moments<L>::NP];
+  if (this->solid(x, y, z)) return;
+  const index_t cell = this->element(x, y, z);
+  real_t f[L::Q];
   if (!swapped_phase()) {
-    for (int p = 0; p < Moments<L>::NP; ++p) pineq[p] = m.pi_neq(p);
+    populations_of<L>(m, real_t(1), /*recursive=*/false, f);
     for (int i = 0; i < L::Q; ++i) {
-      f_.raw(soa(i, cell)) = static_cast<ST>(
-          reconstruct_projective<L>(i, m.rho, m.u.data(), pineq));
+      f_.raw(this->soa(i, cell)) = static_cast<ST>(f[i]);
     }
     return;
   }
   // Swapped phase: store the post-collision image into the swapped slots.
-  const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  for (int p = 0; p < Moments<L>::NP; ++p) {
-    pineq[p] = factor * m.pi_neq(p);
-  }
-  // One scheme branch per node, not per population.
-  if (scheme_ == CollisionScheme::kRecursive) {
-    for (int i = 0; i < L::Q; ++i) {
-      f_.raw(soa(L::opposite(i), cell)) = static_cast<ST>(
-          reconstruct_recursive<L>(i, m.rho, m.u.data(), pineq));
-    }
-  } else {
-    for (int i = 0; i < L::Q; ++i) {
-      f_.raw(soa(L::opposite(i), cell)) = static_cast<ST>(
-          reconstruct_projective<L>(i, m.rho, m.u.data(), pineq));
-    }
+  populations_of<L>(m, real_t(1) - real_t(1) / this->tau_,
+                    this->scheme_ == CollisionScheme::kRecursive, f);
+  for (int i = 0; i < L::Q; ++i) {
+    f_.raw(this->soa(L::opposite(i), cell)) = static_cast<ST>(f[i]);
   }
 }
 
 template <class L, class ST>
 std::size_t AaEngine<L, ST>::state_bytes() const {
-  return f_.size_bytes() + (sparse_ ? tdev_.bytes() : 0);
+  return f_.size_bytes() + (this->sparse_ ? this->tdev_.bytes() : 0);
 }
 
 template <class L, class ST>
-void AaEngine<L, ST>::ensure_records() {
-  if (krec_even_ == nullptr) {
-    if (sparse_) {
-      // Per-tile-class records (see StEngine::ensure_records): the even/odd
-      // pointers name the all-fluid launches, the mixed pointers the masked
-      // ones.
-      const std::string base = std::string("aa_sparse_") + L::name();
-      krec_even_ = &prof_.record(base + "_even_fluid");
-      krec_odd_ = &prof_.record(base + "_odd_fluid");
-      krec_even_frontier_ = &prof_.record(base + "_even_fluid_frontier");
-      krec_odd_frontier_ = &prof_.record(base + "_odd_fluid_frontier");
-      krec_even_mixed_ = &prof_.record(base + "_even_mixed");
-      krec_odd_mixed_ = &prof_.record(base + "_odd_mixed");
-      krec_even_mixed_frontier_ =
-          &prof_.record(base + "_even_mixed_frontier");
-      krec_odd_mixed_frontier_ = &prof_.record(base + "_odd_mixed_frontier");
-      krec_even_->contract = krec_even_frontier_->contract =
-          krec_even_mixed_->contract = krec_even_mixed_frontier_->contract =
-              "aa.even";
-      krec_odd_->contract = krec_odd_frontier_->contract =
-          krec_odd_mixed_->contract = krec_odd_mixed_frontier_->contract =
-              "aa.odd";
-      return;
-    }
-    krec_even_ = &prof_.record(std::string("aa_even_") + L::name());
-    krec_odd_ = &prof_.record(std::string("aa_odd_") + L::name());
-    krec_even_frontier_ =
-        &prof_.record(std::string("aa_even_") + L::name() + "_frontier");
-    krec_odd_frontier_ =
-        &prof_.record(std::string("aa_odd_") + L::name() + "_frontier");
-    krec_even_->contract = krec_even_frontier_->contract = "aa.even";
-    krec_odd_->contract = krec_odd_frontier_->contract = "aa.odd";
-  }
-}
-
-template <class L, class ST>
-void AaEngine<L, ST>::do_step() {
-  ensure_records();
-  if (sparse_) {
-    step_sparse(0, 0, /*frontier_only=*/false, nullptr);
-    return;
-  }
-  const int nx = this->geo_.box.nx;
+void AaEngine<L, ST>::step_nodes(
+    const FrontierSpec* fs,
+    const typename Engine<L>::FrontierDoneFn& on_frontier) {
+  const NodeBase<L> base = this->node_base(batched_io_);
   if (!swapped_phase()) {
-    step_even(0, nx, *krec_even_);
+    this->run_step(0, Node<true>{base, &f_}, fs, on_frontier);
   } else {
-    step_odd(0, nx, *krec_odd_);
+    this->run_step(1, Node<false>{base, &f_}, fs, on_frontier);
   }
-}
-
-template <class L, class ST>
-void AaEngine<L, ST>::step_sparse(
-    int fl, int fr, bool frontier_only,
-    const typename Engine<L>::FrontierDoneFn& on_frontier) {
-  const bool even = !swapped_phase();
-  const auto run = [&](const gpusim::GlobalArray<std::int32_t>& list,
-                       const gpusim::GlobalArray<std::uint64_t>* masks,
-                       int begin, int count, gpusim::KernelRecord& rec) {
-    if (even) {
-      step_even_tiles(list, masks, begin, count, rec);
-    } else {
-      step_odd_tiles(list, masks, begin, count, rec);
-    }
-  };
-  gpusim::KernelRecord& rfl = even ? *krec_even_ : *krec_odd_;
-  gpusim::KernelRecord& rflf =
-      even ? *krec_even_frontier_ : *krec_odd_frontier_;
-  gpusim::KernelRecord& rmx = even ? *krec_even_mixed_ : *krec_odd_mixed_;
-  gpusim::KernelRecord& rmxf =
-      even ? *krec_even_mixed_frontier_ : *krec_odd_mixed_frontier_;
-  // The fluid and mixed launches of one step share a freshness window.
-  gpusim::LaunchGroup group(prof_);
-  if (fl <= 0 && fr <= 0) {
-    // Monolithic step (or degenerate split: everything is frontier).
-    run(tdev_.fluid, nullptr, 0, tdev_.n_fluid_tiles, rfl);
-    run(tdev_.mixed, &tdev_.mask, 0, tdev_.n_mixed_tiles, rmx);
-    if (frontier_only && on_frontier) on_frontier();
-    return;
-  }
-  const TileGridInfo& g = tdev_.grid;
-  const int nx = this->geo_.box.nx;
-  const TileRange rf = partition_tiles(tdev_.fluid, tdev_.n_fluid_tiles,
-                                       g.tdx, g.ntx, nx, fl, fr);
-  const TileRange rm = partition_tiles(tdev_.mixed, tdev_.n_mixed_tiles,
-                                       g.tdx, g.ntx, nx, fl, fr);
-  if (rf.degenerate() || rm.degenerate()) {
-    run(tdev_.fluid, nullptr, 0, tdev_.n_fluid_tiles, rfl);
-    run(tdev_.mixed, &tdev_.mask, 0, tdev_.n_mixed_tiles, rmx);
-    if (on_frontier) on_frontier();
-    return;
-  }
-  // Even is node-local; odd partitions by source node and every lattice word
-  // has a unique reader == writer node, so in both flavours completing the
-  // frontier tiles finalizes every frontier plane (the source extension is
-  // already folded into fl/fr by the caller; tiles over-cover the planes).
-  run(tdev_.fluid, nullptr, 0, rf.left, rflf);
-  run(tdev_.fluid, nullptr, rf.right, rf.n - rf.right, rflf);
-  run(tdev_.mixed, &tdev_.mask, 0, rm.left, rmxf);
-  run(tdev_.mixed, &tdev_.mask, rm.right, rm.n - rm.right, rmxf);
-  if (on_frontier) on_frontier();
-  run(tdev_.fluid, nullptr, rf.left, rf.right - rf.left, rfl);
-  run(tdev_.mixed, &tdev_.mask, rm.left, rm.right - rm.left, rmx);
-}
-
-template <class L, class ST>
-void AaEngine<L, ST>::do_step_split(
-    const FrontierSpec& fs,
-    const typename Engine<L>::FrontierDoneFn& on_frontier) {
-  const Box& b = this->geo_.box;
-  ensure_records();
-  const bool even = !swapped_phase();
-  // The even step is node-local (ext 0); the odd step's in-place swap
-  // touches planes x-1..x+1 from source x, so finalizing [0, left) needs
-  // sources [0, left] (ext 1). Disjoint source ranges touch disjoint words
-  // (unique reader == writer per word), so the launches commute.
-  const int ext = even ? 0 : 1;
-  const int fl = fs.left > 0 ? fs.left + ext : 0;
-  const int fr = fs.right > 0 ? fs.right + ext : 0;
-  if (sparse_) {
-    // Same plane contract; the tile partition over-covers the planes.
-    if (fs.empty() || fl + fr >= b.nx) {
-      step_sparse(0, 0, /*frontier_only=*/true, on_frontier);
-    } else {
-      step_sparse(fl, fr, /*frontier_only=*/false, on_frontier);
-    }
-    return;
-  }
-  gpusim::KernelRecord& rec = even ? *krec_even_ : *krec_odd_;
-  gpusim::KernelRecord& frec = even ? *krec_even_frontier_ : *krec_odd_frontier_;
-  const auto run = [&](int x0, int x1, gpusim::KernelRecord& r) {
-    if (even) {
-      step_even(x0, x1, r);
-    } else {
-      step_odd(x0, x1, r);
-    }
-  };
-  if (fs.empty() || fl + fr >= b.nx) {
-    run(0, b.nx, rec);
-    if (on_frontier) on_frontier();
-  } else {
-    gpusim::LaunchGroup group(prof_);
-    if (fl > 0) run(0, fl, frec);
-    if (fr > 0) run(b.nx - fr, b.nx, frec);
-    if (on_frontier) on_frontier();
-    run(fl, b.nx - fr, rec);
-  }
-}
-
-template <class L, class ST>
-void AaEngine<L, ST>::step_even(int rx0, int rx1, gpusim::KernelRecord& rec) {
-  // Node-local: read plainly, collide, write swapped. No neighbour traffic.
-  // Populations whose downwind link crosses a wall receive their moving-wall
-  // bounceback correction here, at write time, where the node's density is
-  // thread-local — the odd step's gather may then read wall slots without
-  // touching any memory another thread rewrites in place.
-  const Box& b = this->geo_.box;
-  const Geometry& geo = this->geo_;
-  const index_t cells = b.cells();
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-  gpusim::GlobalArray<ST>& f = f_;
-  const bool batched = batched_io_;
-
-  // Plane-range remap (see st_engine.cpp): the full range degenerates to the
-  // flat cell index, keeping the monolithic step bit-identical.
-  const auto nxr = static_cast<index_t>(rx1 - rx0);
-  const index_t rcells = nxr * b.ny * b.nz;
-
-  const int tpb = threads_per_block_;
-  const auto nblocks =
-      static_cast<int>((rcells + tpb - 1) / static_cast<index_t>(tpb));
-
-  if (exec_ != ExecMode::kLanes) {
-    // Flat scalar body with the collision scheme dispatched once per launch
-    // (see st_engine.cpp for the rationale; the shared lambdas the lane path
-    // uses cost GCC a large fraction of the loop's throughput).
-    dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec, gpusim::Dim3{nblocks, 1, 1},
-        gpusim::Dim3{tpb, 1, 1}, [&, cells](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= rcells) return;
-            const int x = rx0 + static_cast<int>(r % nxr);
-            const int y = static_cast<int>((r / nxr) % b.ny);
-            const int z =
-                static_cast<int>(r / (nxr * static_cast<index_t>(b.ny)));
-            const index_t cell = b.idx(x, y, z);
-
-            // Both the read and the (slot-swapped) write touch all Q slots
-            // of one cell, so each moves as one batched span transaction.
-            // Loads widen to real_t registers; stores narrow back.
-            real_t fl[L::Q];
-            if (batched) {
-              f.template load_span_as<real_t>(cell, cells, L::Q, fl);
-            } else {
-              for (int i = 0; i < L::Q; ++i) {
-                fl[i] = f.template load_as<real_t>(soa(i, cell));
-              }
-            }
-            real_t rho_pre = 0;
-            for (int i = 0; i < L::Q; ++i) rho_pre += fl[i];
-            collide<L, decltype(sc)::value>(fl, tau);
-            real_t out[L::Q];
-            for (int i = 0; i < L::Q; ++i) {
-              real_t v = fl[i];
-              const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-              if (t.kind == StreamTarget::Kind::kBounce &&
-                  t.cu_wall != real_t(0)) {
-                v -= real_t(2) * L::w[static_cast<std::size_t>(i)] * rho_pre *
-                     t.cu_wall * inv_cs2;
-              }
-              out[static_cast<std::size_t>(L::opposite(i))] = v;
-            }
-            if (batched) {
-              f.template store_span_as<real_t>(cell, cells, L::Q, out);
-            } else {
-              for (int i = 0; i < L::Q; ++i) {
-                f.template store_as<real_t>(soa(i, cell),
-                                            out[static_cast<std::size_t>(i)]);
-              }
-            }
-          });
-        });
-    });
-    return;
-  }
-  // Node-local step: both the read and the (slot-swapped) write touch all Q
-  // slots of one cell, so each moves as one batched span transaction. Loads
-  // widen to real_t registers; stores narrow back to the storage type. The
-  // lane path issues the identical per-node access sequence as the scalar
-  // body above, just panel-interleaved.
-  const auto read_own = [&, cells](index_t cell,
-                                   real_t (&fl)[L::Q]) MLBM_ALWAYS_INLINE {
-    if (batched) {
-      f.template load_span_as<real_t>(cell, cells, L::Q, fl);
-    } else {
-      for (int i = 0; i < L::Q; ++i) {
-        fl[i] = f.template load_as<real_t>(soa(i, cell));
-      }
-    }
-  };
-  const auto write_swapped = [&, cells](index_t cell, int x, int y, int z,
-                                        const real_t (&fl)[L::Q],
-                                        real_t rho_pre) MLBM_ALWAYS_INLINE {
-    real_t out[L::Q];
-    for (int i = 0; i < L::Q; ++i) {
-      real_t v = fl[i];
-      const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-      if (t.kind == StreamTarget::Kind::kBounce && t.cu_wall != real_t(0)) {
-        v -= real_t(2) * L::w[static_cast<std::size_t>(i)] * rho_pre *
-             t.cu_wall * inv_cs2;
-      }
-      out[static_cast<std::size_t>(L::opposite(i))] = v;
-    }
-    if (batched) {
-      f.template store_span_as<real_t>(cell, cells, L::Q, out);
-    } else {
-      for (int i = 0; i < L::Q; ++i) {
-        f.template store_as<real_t>(soa(i, cell),
-                                    out[static_cast<std::size_t>(i)]);
-      }
-    }
-  };
-
-  gpusim::launch(
-      prof_, rec, gpusim::Dim3{nblocks, 1, 1},
-      gpusim::Dim3{tpb, 1, 1}, [&](gpusim::BlockCtx& blk) {
-        const index_t start = static_cast<index_t>(blk.block_idx().x) * tpb;
-        const index_t end = std::min(start + tpb, rcells);
-        for (index_t p0 = start; p0 < end; p0 += kLaneWidth) {
-          const int n = static_cast<int>(
-              std::min<index_t>(kLaneWidth, end - p0));
-          real_t panel[L::Q][kLaneWidth];
-          real_t rho_pre[kLaneWidth];
-          index_t cellv[kLaneWidth];
-          for (int ln = 0; ln < n; ++ln) {
-            const index_t rr = p0 + ln;
-            const int x = rx0 + static_cast<int>(rr % nxr);
-            const int y = static_cast<int>((rr / nxr) % b.ny);
-            const int z = static_cast<int>(
-                rr / (nxr * static_cast<index_t>(b.ny)));
-            cellv[ln] = b.idx(x, y, z);
-            real_t fl[L::Q];
-            read_own(cellv[ln], fl);
-            real_t r = 0;
-            for (int i = 0; i < L::Q; ++i) r += fl[i];
-            rho_pre[ln] = r;
-            for (int i = 0; i < L::Q; ++i) panel[i][ln] = fl[i];
-          }
-          collide_lanes<L, kLaneWidth>(scheme, panel, n, tau);
-          for (int ln = 0; ln < n; ++ln) {
-            const index_t rr = p0 + ln;
-            const int x = rx0 + static_cast<int>(rr % nxr);
-            const int y = static_cast<int>((rr / nxr) % b.ny);
-            const int z = static_cast<int>(
-                rr / (nxr * static_cast<index_t>(b.ny)));
-            real_t fl[L::Q];
-            for (int i = 0; i < L::Q; ++i) fl[i] = panel[i][ln];
-            write_swapped(cellv[ln], x, y, z, fl, rho_pre[ln]);
-          }
-        }
-      });
-}
-
-template <class L, class ST>
-void AaEngine<L, ST>::step_odd(int rx0, int rx1, gpusim::KernelRecord& rec) {
-  // Gather from the upwind neighbours' swapped slots (completing the
-  // previous stream), collide, scatter into the downwind neighbours' plain
-  // slots (pre-streaming the next step). Each slot has a unique
-  // reader == writer thread, so the update is race-free in place — and
-  // because word (j, m) is gathered AND scattered only by node m - c_j,
-  // plane-range launches touch disjoint word sets (split is exact).
-  const Box& b = this->geo_.box;
-  const Geometry& geo = this->geo_;
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-  gpusim::GlobalArray<ST>& f = f_;
-
-  const auto nxr = static_cast<index_t>(rx1 - rx0);
-  const index_t rcells = nxr * b.ny * b.nz;
-
-  const int tpb = threads_per_block_;
-  const auto nblocks =
-      static_cast<int>((rcells + tpb - 1) / static_cast<index_t>(tpb));
-
-  if (exec_ != ExecMode::kLanes) {
-    // Flat scalar body, scheme dispatched once per launch (same rationale as
-    // the even step).
-    dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec, gpusim::Dim3{nblocks, 1, 1},
-        gpusim::Dim3{tpb, 1, 1}, [&](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= rcells) return;
-            const int x = rx0 + static_cast<int>(r % nxr);
-            const int y = static_cast<int>((r / nxr) % b.ny);
-            const int z =
-                static_cast<int>(r / (nxr * static_cast<index_t>(b.ny)));
-            const index_t cell = b.idx(x, y, z);
-
-            // Gather f_i(x, t) = f*_i(x - c_i, t-1), stored swapped. Wall
-            // links read this node's own swapped slot i, whose moving-wall
-            // correction the even step already applied at write time.
-            real_t fl[L::Q];
-            for (int i = 0; i < L::Q; ++i) {
-              const StreamTarget t =
-                  resolve_stream<L>(geo, x, y, z, L::opposite(i));
-              if (t.kind == StreamTarget::Kind::kInterior) {
-                fl[i] = f.template load_as<real_t>(
-                    soa(L::opposite(i), b.idx(t.x, t.y, t.z)));
-              } else {
-                fl[i] = f.template load_as<real_t>(soa(i, cell));
-              }
-            }
-            real_t rho_now = 0;
-            for (int i = 0; i < L::Q; ++i) rho_now += fl[i];
-            collide<L, decltype(sc)::value>(fl, tau);
-            // Scatter f*_i(x, t) into slot i of x + c_i.
-            for (int i = 0; i < L::Q; ++i) {
-              const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-              if (t.kind == StreamTarget::Kind::kInterior) {
-                f.template store_as<real_t>(soa(i, b.idx(t.x, t.y, t.z)),
-                                            fl[i]);
-              } else {
-                // Wall: bounce back into this node's own plain slot
-                // opposite(i), where the next even step reads it directly.
-                f.template store_as<real_t>(
-                    soa(L::opposite(i), cell),
-                    fl[i] - real_t(2) * L::w[static_cast<std::size_t>(i)] *
-                                rho_now * t.cu_wall * inv_cs2);
-              }
-            }
-          });
-        });
-    });
-    return;
-  }
-  // Gathers and scatters touch Q different cells per node, so the odd step
-  // stays on scalar load/store (no uniform stride to batch).
-  //
-  // Gather f_i(x, t) = f*_i(x - c_i, t-1), stored swapped. Wall links read
-  // this node's own swapped slot i, whose moving-wall correction the even
-  // step already applied at write time.
-  const auto gather = [&](index_t cell, int x, int y, int z,
-                          real_t (&fl)[L::Q]) MLBM_ALWAYS_INLINE {
-    for (int i = 0; i < L::Q; ++i) {
-      const StreamTarget t = resolve_stream<L>(geo, x, y, z, L::opposite(i));
-      if (t.kind == StreamTarget::Kind::kInterior) {
-        fl[i] = f.template load_as<real_t>(
-            soa(L::opposite(i), b.idx(t.x, t.y, t.z)));
-      } else {
-        fl[i] = f.template load_as<real_t>(soa(i, cell));
-      }
-    }
-  };
-  // Scatter f*_i(x, t) into slot i of x + c_i.
-  const auto scatter = [&](index_t cell, int x, int y, int z,
-                           const real_t (&fl)[L::Q],
-                           real_t rho_now) MLBM_ALWAYS_INLINE {
-    for (int i = 0; i < L::Q; ++i) {
-      const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-      if (t.kind == StreamTarget::Kind::kInterior) {
-        f.template store_as<real_t>(soa(i, b.idx(t.x, t.y, t.z)), fl[i]);
-      } else {
-        // Wall: bounce back into this node's own plain slot opposite(i),
-        // where the next even step reads it directly.
-        f.template store_as<real_t>(
-            soa(L::opposite(i), cell),
-            fl[i] - real_t(2) * L::w[static_cast<std::size_t>(i)] * rho_now *
-                        t.cu_wall * inv_cs2);
-      }
-    }
-  };
-
-  {
-    // Panel reordering of the in-place update is exact: every lattice word
-    // has a unique reader == writer node, so only each node's own
-    // gather-before-scatter order matters, which the panel preserves.
-    gpusim::launch(
-        prof_, rec, gpusim::Dim3{nblocks, 1, 1},
-        gpusim::Dim3{tpb, 1, 1}, [&](gpusim::BlockCtx& blk) {
-          const index_t start = static_cast<index_t>(blk.block_idx().x) * tpb;
-          const index_t end = std::min(start + tpb, rcells);
-          for (index_t p0 = start; p0 < end; p0 += kLaneWidth) {
-            const int n = static_cast<int>(
-                std::min<index_t>(kLaneWidth, end - p0));
-            real_t panel[L::Q][kLaneWidth];
-            real_t rho_now[kLaneWidth];
-            index_t cellv[kLaneWidth];
-            for (int ln = 0; ln < n; ++ln) {
-              const index_t rr = p0 + ln;
-              const int x = rx0 + static_cast<int>(rr % nxr);
-              const int y = static_cast<int>((rr / nxr) % b.ny);
-              const int z = static_cast<int>(
-                  rr / (nxr * static_cast<index_t>(b.ny)));
-              cellv[ln] = b.idx(x, y, z);
-              real_t fl[L::Q];
-              gather(cellv[ln], x, y, z, fl);
-              real_t r = 0;
-              for (int i = 0; i < L::Q; ++i) r += fl[i];
-              rho_now[ln] = r;
-              for (int i = 0; i < L::Q; ++i) panel[i][ln] = fl[i];
-            }
-            collide_lanes<L, kLaneWidth>(scheme, panel, n, tau);
-            for (int ln = 0; ln < n; ++ln) {
-              const index_t rr = p0 + ln;
-              const int x = rx0 + static_cast<int>(rr % nxr);
-              const int y = static_cast<int>((rr / nxr) % b.ny);
-              const int z = static_cast<int>(
-                  rr / (nxr * static_cast<index_t>(b.ny)));
-              real_t fl[L::Q];
-              for (int i = 0; i < L::Q; ++i) fl[i] = panel[i][ln];
-              scatter(cellv[ln], x, y, z, fl, rho_now[ln]);
-            }
-          }
-        });
-  }
-}
-
-template <class L, class ST>
-void AaEngine<L, ST>::step_even_tiles(
-    const gpusim::GlobalArray<std::int32_t>& list,
-    const gpusim::GlobalArray<std::uint64_t>* masks, int begin, int count,
-    gpusim::KernelRecord& rec) {
-  if (count <= 0) return;
-  const Geometry& geo = this->geo_;
-  const TileGridInfo g = tdev_.grid;
-  const index_t elems = elems_;
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-  gpusim::GlobalArray<ST>& f = f_;
-  const bool batched = batched_io_;
-  const int tpb = threads_per_block_;
-  const int nblocks = (count + tpb - 1) / tpb;
-
-  // One thread per tile. The even step is node-local, so only the tile's own
-  // slot is needed — one int32 load instead of the odd step's full stash.
-  dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec, gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-        [&](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= static_cast<index_t>(count)) return;
-            const std::int32_t tile = list.load(static_cast<index_t>(begin) + r);
-            const std::uint64_t occ =
-                masks != nullptr ? masks->load(static_cast<index_t>(begin) + r)
-                                 : ~std::uint64_t{0};
-            const int tx = tile % g.ntx;
-            const int ty = (tile / g.ntx) % g.nty;
-            const int tz = tile / (g.ntx * g.nty);
-            const index_t own_base =
-                static_cast<index_t>(tdev_.slots.load(tile)) * TileMap::kSlots;
-            for (int local = 0; local < TileMap::kSlots; ++local) {
-              if (!(occ >> local & 1ull)) continue;
-              const int x = tx * g.tdx + local % g.tdx;
-              const int y = ty * g.tdy + (local / g.tdx) % g.tdy;
-              const int z = tz * g.tdz + local / (g.tdx * g.tdy);
-              const index_t elem = own_base + local;
-              real_t fl[L::Q];
-              if (batched) {
-                f.template load_span_as<real_t>(elem, elems, L::Q, fl);
-              } else {
-                for (int i = 0; i < L::Q; ++i) {
-                  fl[i] = f.template load_as<real_t>(soa(i, elem));
-                }
-              }
-              real_t rho_pre = 0;
-              for (int i = 0; i < L::Q; ++i) rho_pre += fl[i];
-              collide<L, decltype(sc)::value>(fl, tau);
-              real_t out[L::Q];
-              for (int i = 0; i < L::Q; ++i) {
-                real_t v = fl[i];
-                const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-                if (t.kind == StreamTarget::Kind::kBounce &&
-                    t.cu_wall != real_t(0)) {
-                  v -= real_t(2) * L::w[static_cast<std::size_t>(i)] *
-                       rho_pre * t.cu_wall * inv_cs2;
-                }
-                out[static_cast<std::size_t>(L::opposite(i))] = v;
-              }
-              if (batched) {
-                f.template store_span_as<real_t>(elem, elems, L::Q, out);
-              } else {
-                for (int i = 0; i < L::Q; ++i) {
-                  f.template store_as<real_t>(soa(i, elem),
-                                              out[static_cast<std::size_t>(i)]);
-                }
-              }
-            }
-          });
-        });
-  });
-}
-
-template <class L, class ST>
-void AaEngine<L, ST>::step_odd_tiles(
-    const gpusim::GlobalArray<std::int32_t>& list,
-    const gpusim::GlobalArray<std::uint64_t>* masks, int begin, int count,
-    gpusim::KernelRecord& rec) {
-  if (count <= 0) return;
-  const Geometry& geo = this->geo_;
-  const TileGridInfo g = tdev_.grid;
-  const bool is3d = geo.box.nz > 1;
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-  gpusim::GlobalArray<ST>& f = f_;
-  const int tpb = threads_per_block_;
-  const int nblocks = (count + tpb - 1) / tpb;
-
-  // One thread per tile; the in-place gather/scatter crosses tile borders,
-  // so the full neighbour-slot stash is loaded. Wall and solid links read
-  // and write this node's own slots exactly as the dense odd step does —
-  // resolve_stream turns solid destinations into (zero-velocity) bounces.
-  dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec, gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-        [&](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= static_cast<index_t>(count)) return;
-            const std::int32_t tile = list.load(static_cast<index_t>(begin) + r);
-            const std::uint64_t occ =
-                masks != nullptr ? masks->load(static_cast<index_t>(begin) + r)
-                                 : ~std::uint64_t{0};
-            const int tx = tile % g.ntx;
-            const int ty = (tile / g.ntx) % g.nty;
-            const int tz = tile / (g.ntx * g.nty);
-            std::int32_t stash[27];
-            load_tile_stash(tdev_.slots, g, tx, ty, tz, is3d, stash);
-            const index_t own_base =
-                static_cast<index_t>(stash[13]) * TileMap::kSlots;
-            for (int local = 0; local < TileMap::kSlots; ++local) {
-              if (!(occ >> local & 1ull)) continue;
-              const int x = tx * g.tdx + local % g.tdx;
-              const int y = ty * g.tdy + (local / g.tdx) % g.tdy;
-              const int z = tz * g.tdz + local / (g.tdx * g.tdy);
-              const index_t elem = own_base + local;
-              // Gather f_i(x, t) = f*_i(x - c_i, t-1), stored swapped; wall
-              // links read this node's own swapped slot i.
-              real_t fl[L::Q];
-              for (int i = 0; i < L::Q; ++i) {
-                const StreamTarget t =
-                    resolve_stream<L>(geo, x, y, z, L::opposite(i));
-                if (t.kind == StreamTarget::Kind::kInterior) {
-                  const index_t ne =
-                      stash_elem(stash, g, tx, ty, tz, t.x, t.y, t.z);
-                  fl[i] = f.template load_as<real_t>(
-                      soa(L::opposite(i), ne));
-                } else {
-                  fl[i] = f.template load_as<real_t>(soa(i, elem));
-                }
-              }
-              real_t rho_now = 0;
-              for (int i = 0; i < L::Q; ++i) rho_now += fl[i];
-              collide<L, decltype(sc)::value>(fl, tau);
-              // Scatter f*_i(x, t) into slot i of x + c_i; wall links bounce
-              // back into this node's own plain slot opposite(i).
-              for (int i = 0; i < L::Q; ++i) {
-                const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-                if (t.kind == StreamTarget::Kind::kInterior) {
-                  const index_t ne =
-                      stash_elem(stash, g, tx, ty, tz, t.x, t.y, t.z);
-                  f.template store_as<real_t>(soa(i, ne), fl[i]);
-                } else {
-                  f.template store_as<real_t>(
-                      soa(L::opposite(i), elem),
-                      fl[i] - real_t(2) * L::w[static_cast<std::size_t>(i)] *
-                                  rho_now * t.cu_wall * inv_cs2);
-                }
-              }
-            }
-          });
-        });
-  });
 }
 
 template class AaEngine<D2Q9, double>;

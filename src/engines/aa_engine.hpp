@@ -26,30 +26,23 @@
 // `ST` is the storage-precision policy (element type of the single lattice);
 // compute stays real_t with conversion at the register boundary.
 //
-// Sparse geometries (Geometry::sparse()): the single lattice is
-// tile-compressed exactly like StEngine's pair (tile_kernels.hpp) and each
-// even/odd step issues one launch over the all-fluid tile list and one over
-// the occupancy-masked mixed tiles, so the profiler attributes traffic per
-// tile class. The even step is node-local and loads only the tile's own slot
-// (one int32 per tile); the odd step loads the full neighbour-slot stash.
-// Sparse always runs the scalar kernel bodies (ExecMode::kLanes falls back;
-// bit-identical by construction). Dense geometries take the pre-existing
-// path bit-identically, fields and traffic counters.
+// Both flavours are one parity-parameterised node body run by the shared
+// launch skeleton (dist_launch.hpp). Sparse geometries tile-compress the
+// single lattice exactly like StEngine's pair (tile_kernels.hpp) and launch
+// the all-fluid and the occupancy-masked mixed tiles separately, so the
+// profiler attributes traffic per tile class. The even step is node-local
+// and loads only the tile's own slot (one int32 per tile); the odd step
+// loads the full neighbour-slot stash. Sparse runs the scalar driver in both
+// execution modes (bit-identical by construction).
 #pragma once
 
-#include "core/collision.hpp"
-#include "engines/engine.hpp"
-#include "engines/tile_kernels.hpp"
-#include "gpusim/global_array.hpp"
-#include "gpusim/profiler.hpp"
+#include "engines/dist_launch.hpp"
 
 namespace mlbm {
 
 template <class L, class ST = real_t>
-class AaEngine final : public Engine<L> {
+class AaEngine final : public DistEngine<L, ST> {
  public:
-  using StorageT = ST;
-
   /// `exec` selects the scalar or lane-batched kernel body. Lane batching is
   /// safe for the in-place odd step because every lattice word has a unique
   /// reader == writer node, so only each node's own gather-before-scatter
@@ -71,16 +64,6 @@ class AaEngine final : public Engine<L> {
   [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
   void impose(int x, int y, int z, const Moments<L>& m) override;
   [[nodiscard]] std::size_t state_bytes() const override;
-  [[nodiscard]] StoragePrecision storage_precision() const override {
-    return precision_of_v<ST>;
-  }
-
-  [[nodiscard]] gpusim::Profiler* profiler() override { return &prof_; }
-  [[nodiscard]] const gpusim::Profiler* profiler() const override {
-    return &prof_;
-  }
-  [[nodiscard]] int threads_per_block() const { return threads_per_block_; }
-  [[nodiscard]] ExecMode exec_mode() const { return exec_; }
 
   /// Declared kernel accesses of the two in-place flavours. The analyzer
   /// re-proves Bailey's invariant from the declaration alone: every gather
@@ -100,9 +83,9 @@ class AaEngine final : public Engine<L> {
   /// thread per element), so the lattice satisfies the sliding-window
   /// freshness contract and opts into the staleness check.
   void set_sanitizer(gpusim::SanitizerHook* san) override {
-    prof_.set_sanitizer_hook(san);
+    this->prof_.set_sanitizer_hook(san);
     f_.set_sanitizer(san, "f", /*sliding_window=*/true);
-    if (sparse_) tdev_.set_sanitizer(san);
+    if (this->sparse_) this->tdev_.set_sanitizer(san);
   }
 
   void set_unique_read_tracking(bool on) override {
@@ -126,17 +109,7 @@ class AaEngine final : public Engine<L> {
   /// representation only restores into an engine re-timed to that phase,
   /// which restore_state guarantees by calling set_time() first.
   [[nodiscard]] std::string raw_state_tag() const override {
-    const Box& b = this->geo_.box;
-    std::string tag = std::string(pattern_name()) +
-                      (swapped_phase() ? "|swapped|" : "|plain|") +
-                      std::to_string(b.nx) + "x" + std::to_string(b.ny) + "x" +
-                      std::to_string(b.nz);
-    if (sparse_) {
-      // Compressed-element order depends on the flag field; restores must
-      // come from the identical geometry.
-      tag += "|sparse:" + std::to_string(this->geo_.hash());
-    }
-    return tag;
+    return this->layout_tag(swapped_phase() ? "|swapped|" : "|plain|");
   }
   void serialize_raw_state(std::vector<real_t>& out) const override {
     out.reserve(out.size() + f_.size());
@@ -153,71 +126,21 @@ class AaEngine final : public Engine<L> {
     }
   }
 
-  /// Even steps are node-local (ext 0); odd steps partition by source node
-  /// with a one-plane extension (every lattice word has a unique
-  /// reader == writer node, so plane-range launches touch disjoint words).
-  [[nodiscard]] bool supports_frontier_split() const override { return true; }
-
  protected:
-  void do_step() override;
-  void do_step_split(const FrontierSpec& fs,
-                     const typename Engine<L>::FrontierDoneFn& on_frontier)
+  void step_nodes(const FrontierSpec* fs,
+                  const typename Engine<L>::FrontierDoneFn& on_frontier)
       override;
 
  private:
-  [[nodiscard]] index_t soa(int i, index_t elem) const {
-    return static_cast<index_t>(i) * elems_ + elem;
-  }
-  /// Element index of node (x, y, z) in the lattice: the box cell when
-  /// dense, the tile-compressed slot*64+local when sparse (-1 for nodes in
-  /// unallocated all-solid tiles).
-  [[nodiscard]] index_t element(int x, int y, int z) const {
-    return sparse_ ? this->geo_.tiles().element(x, y, z)
-                   : this->geo_.box.idx(x, y, z);
-  }
+  template <bool kEven>
+  struct Node;
+
   /// True when memory currently holds the even-step (swapped post-collision)
   /// representation.
   [[nodiscard]] bool swapped_phase() const { return this->t_ % 2 == 1; }
 
-  void ensure_records();
-  /// One launch covering nodes in planes [rx0, rx1); the full range is
-  /// bit-identical to the monolithic step (see StEngine).
-  void step_even(int rx0, int rx1, gpusim::KernelRecord& rec);
-  void step_odd(int rx0, int rx1, gpusim::KernelRecord& rec);
-  /// Sparse launches over tile-list entries [begin, begin + count): one
-  /// thread per tile, 64 locals swept inside. `masks` is null for the
-  /// all-fluid list. Scalar-only.
-  void step_even_tiles(const gpusim::GlobalArray<std::int32_t>& list,
-                       const gpusim::GlobalArray<std::uint64_t>* masks,
-                       int begin, int count, gpusim::KernelRecord& rec);
-  void step_odd_tiles(const gpusim::GlobalArray<std::int32_t>& list,
-                      const gpusim::GlobalArray<std::uint64_t>* masks,
-                      int begin, int count, gpusim::KernelRecord& rec);
-  void step_sparse(int fl, int fr, bool frontier_only,
-                   const typename Engine<L>::FrontierDoneFn& on_frontier);
-
-  CollisionScheme scheme_;
-  int threads_per_block_;
-  ExecMode exec_;
-  gpusim::Profiler prof_;
   gpusim::GlobalArray<ST> f_;
   bool batched_io_ = true;
-  /// Elements per direction: box cells (dense) or tile slots * 64 (sparse).
-  index_t elems_ = 0;
-  bool sparse_ = false;
-  TileIndexDev tdev_;
-  /// Cached kernel records (even/odd flavours, plus frontier variants for
-  /// split steps) — no string lookup per step. Sparse steps reuse the
-  /// even/odd records for the all-fluid tile launch and record the masked
-  /// mixed-tile launch separately (per-tile-class traffic attribution).
-  gpusim::KernelRecord* krec_even_ = nullptr;
-  gpusim::KernelRecord* krec_odd_ = nullptr;
-  gpusim::KernelRecord* krec_even_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_odd_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_even_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_odd_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_even_mixed_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_odd_mixed_frontier_ = nullptr;
 };
 
 extern template class AaEngine<D2Q9, double>;

@@ -1,35 +1,83 @@
 #include "engines/ep_engine.hpp"
 
-#include "util/error.hpp"
-
-#include <algorithm>
-#include <string>
-
-#include "core/lanes.hpp"
-#include "core/regularization.hpp"
-#include "engines/streaming.hpp"
-#include "gpusim/launch.hpp"
-
 namespace mlbm {
+
+/// Both esoteric parities as one node body. Gather f_i(x, t) from slot
+/// (even ? opposite(i) : i) of the node itself (plus half-set and rest) or
+/// the upwind neighbour (minus half-set); blocked links read the rim,
+/// applying the moving-wall correction at read time from the rim density —
+/// ST pull's exact arithmetic. Scatter f*_i(x, t) into slot
+/// (even ? i : opposite(i)) of the downwind neighbour (plus half-set) or the
+/// node itself; blocked links park the storage-narrowed value plus the
+/// narrowed post-collision density in the rim for next step's gather.
+template <class L, class ST>
+template <bool kEven>
+struct EpEngine<L, ST>::Node : NodeBase<L> {
+  static constexpr bool kNodeLocal = false;
+  const EpEngine* eng;  ///< rim link index (host-side lookup)
+  gpusim::GlobalArray<ST>* f;
+  gpusim::GlobalArray<real_t>* rim;
+
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void gather(const Nb& nb, index_t elem, int x, int y,
+                                 int z, real_t (&fl)[L::Q]) const {
+    for (int i = 0; i < L::Q; ++i) {
+      const int j = L::opposite(i);
+      const StreamTarget t = this->target(x, y, z, j);
+      if (t.kind == StreamTarget::Kind::kInterior) {
+        const index_t tc = j < i ? nb(t.x, t.y, t.z) : elem;
+        fl[i] = f->template load_as<real_t>(this->soa(kEven ? j : i, tc));
+      } else {
+        const index_t rb = eng->rim_base(elem, j);
+        real_t v = rim->template load_as<real_t>(rb);
+        if (t.kind == StreamTarget::Kind::kBounce && t.cu_wall != real_t(0)) {
+          v -= wall_term<L>(i, rim->template load_as<real_t>(rb + 1),
+                            t.cu_wall);
+        }
+        fl[i] = v;
+      }
+    }
+  }
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void scatter(const Nb& nb, index_t elem, int x, int y,
+                                  int z, const real_t (&fl)[L::Q],
+                                  real_t /*rho_pre*/) const {
+    real_t rho_post = 0;
+    bool have_rho = false;
+    for (int i = 0; i < L::Q; ++i) {
+      const int j = L::opposite(i);
+      const StreamTarget t = this->target(x, y, z, i);
+      if (t.kind == StreamTarget::Kind::kInterior) {
+        const index_t tc = i < j ? nb(t.x, t.y, t.z) : elem;
+        f->template store_as<real_t>(this->soa(kEven ? i : j, tc), fl[i]);
+      } else {
+        if (!have_rho) {
+          for (int k = 0; k < L::Q; ++k) {
+            rho_post += static_cast<real_t>(static_cast<ST>(fl[k]));
+          }
+          have_rho = true;
+        }
+        const index_t rb = eng->rim_base(elem, i);
+        rim->template store_as<real_t>(
+            rb, static_cast<real_t>(static_cast<ST>(fl[i])));
+        rim->template store_as<real_t>(rb + 1, rho_post);
+      }
+    }
+  }
+};
 
 template <class L, class ST>
 EpEngine<L, ST>::EpEngine(Geometry geo, real_t tau, CollisionScheme scheme,
                           int threads_per_block, ExecMode exec)
-    : Engine<L>(std::move(geo), tau),
-      scheme_(scheme),
-      threads_per_block_(threads_per_block),
-      exec_(exec) {
-  sparse_ = this->geo_.sparse();
-  if (sparse_) {
-    const TileMap& tm = this->geo_.tiles();
-    tdev_.build(tm, &prof_.counter());
-    elems_ = tm.elements();
-  } else {
-    elems_ = this->geo_.box.cells();
-  }
+    // Both parities reach planes x-1..x+1 from source x (the pulled half
+    // upwind, the pushed half downwind), so split steps extend the frontier
+    // by one source plane; disjoint source ranges touch disjoint words
+    // (unique reader == writer per word), so the launches commute.
+    : DistEngine<L, ST>(std::move(geo), tau, scheme, threads_per_block, exec,
+                        {{{"ep.even", 1}, {"ep.odd", 1}}}) {
   const auto n =
-      static_cast<std::size_t>(elems_) * static_cast<std::size_t>(L::Q);
-  f_.allocate(n, &prof_.counter());
+      static_cast<std::size_t>(this->elems_) * static_cast<std::size_t>(L::Q);
+  f_.allocate(n, &this->prof_.counter());
   build_rim_index();
 }
 
@@ -39,13 +87,12 @@ void EpEngine<L, ST>::build_rim_index() {
   // direction-minor order (so raw snapshots are reproducible). The predicate
   // is exactly the branch the kernels take: resolve_stream not interior.
   const Box& b = this->geo_.box;
-  const bool solids = this->geo_.has_solids();
   index_t links = 0;
   for (int z = 0; z < b.nz; ++z) {
     for (int y = 0; y < b.ny; ++y) {
       for (int x = 0; x < b.nx; ++x) {
-        if (solids && this->geo_.solid(x, y, z)) continue;
-        const index_t elem = element(x, y, z);
+        if (this->solid(x, y, z)) continue;
+        const index_t elem = this->element(x, y, z);
         if (elem < 0) continue;
         for (int i = 0; i < L::Q; ++i) {
           const StreamTarget t = resolve_stream<L>(this->geo_, x, y, z, i);
@@ -58,97 +105,53 @@ void EpEngine<L, ST>::build_rim_index() {
       }
     }
   }
-  rim_.allocate(static_cast<std::size_t>(links) * 2, &prof_.counter());
-}
-
-template <class L, class ST>
-void EpEngine<L, ST>::initialize(const typename Engine<L>::InitFn& init) {
-  // Unlike AA, the esoteric state is a full stream+collide image at every
-  // parity, so initialization (and impose) works at any timestep.
-  const Box& b = this->geo_.box;
-  const bool solids = this->geo_.has_solids();
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        if (solids && this->geo_.solid(x, y, z)) continue;
-        impose(x, y, z, init(x, y, z));
-      }
-    }
-  }
+  rim_.allocate(static_cast<std::size_t>(links) * 2, &this->prof_.counter());
 }
 
 template <class L, class ST>
 Moments<L> EpEngine<L, ST>::moments_at(int x, int y, int z) const {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
-    return solid_moments<L>();
-  }
+  if (this->solid(x, y, z)) return solid_moments<L>();
   // The state in memory is the post-collision image f*(., t_) laid out by
   // the PREVIOUS parity's scatter map: f*_i of this node sits in slot
   // (even_phase() ? opposite(i) : i) of the downwind neighbour for i in the
   // plus half-set, of the node itself otherwise — and in the rim for
   // blocked links. Collect it and translate to the shared pre-collision
   // moment convention exactly like ST pull.
-  const Box& b = this->geo_.box;
-  const index_t cell = element(x, y, z);
+  const index_t cell = this->element(x, y, z);
   const bool even = even_phase();
   real_t f[L::Q];
   for (int i = 0; i < L::Q; ++i) {
     const int j = L::opposite(i);
     const StreamTarget t = resolve_stream<L>(this->geo_, x, y, z, i);
     if (t.kind == StreamTarget::Kind::kInterior) {
-      const index_t tc = i < j ? element(t.x, t.y, t.z) : cell;
-      f[i] = static_cast<real_t>(f_.raw(soa(even ? j : i, tc)));
+      const index_t tc = i < j ? this->element(t.x, t.y, t.z) : cell;
+      f[i] = static_cast<real_t>(f_.raw(this->soa(even ? j : i, tc)));
     } else {
       f[i] = rim_.raw(rim_base(cell, i));
     }
   }
-  (void)b;
-  Moments<L> m = compute_moments<L>(f);
-  const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  if (factor != real_t(0)) {
-    for (int p = 0; p < Moments<L>::NP; ++p) {
-      const auto [a, bb] = Moments<L>::pair(p);
-      const real_t eq = m.rho * m.u[static_cast<std::size_t>(a)] *
-                        m.u[static_cast<std::size_t>(bb)];
-      m.pi[static_cast<std::size_t>(p)] =
-          eq + (m.pi[static_cast<std::size_t>(p)] - eq) / factor;
-    }
-  }
-  return m;
+  return unrelaxed_moments<L>(f, this->tau_);
 }
 
 template <class L, class ST>
 void EpEngine<L, ST>::impose(int x, int y, int z, const Moments<L>& m) {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) return;
-  const index_t cell = element(x, y, z);
+  if (this->solid(x, y, z)) return;
+  const index_t cell = this->element(x, y, z);
   const bool even = even_phase();
   // Store the post-collision image of the imposed pre-collision state (the
   // exact ST pull recipe, so the next gather streams bit-identical values),
   // scattered over the previous parity's write map.
-  const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  real_t pineq[Moments<L>::NP];
-  for (int p = 0; p < Moments<L>::NP; ++p) {
-    pineq[p] = factor * m.pi_neq(p);
-  }
   real_t f[L::Q];
-  // One scheme branch per node, not per population.
-  if (scheme_ == CollisionScheme::kRecursive) {
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = reconstruct_recursive<L>(i, m.rho, m.u.data(), pineq);
-    }
-  } else {
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = reconstruct_projective<L>(i, m.rho, m.u.data(), pineq);
-    }
-  }
+  populations_of<L>(m, real_t(1) - real_t(1) / this->tau_,
+                    this->scheme_ == CollisionScheme::kRecursive, f);
   real_t rho_post = 0;
   bool have_rho = false;
   for (int i = 0; i < L::Q; ++i) {
     const int j = L::opposite(i);
     const StreamTarget t = resolve_stream<L>(this->geo_, x, y, z, i);
     if (t.kind == StreamTarget::Kind::kInterior) {
-      const index_t tc = i < j ? element(t.x, t.y, t.z) : cell;
-      f_.raw(soa(even ? j : i, tc)) = static_cast<ST>(f[i]);
+      const index_t tc = i < j ? this->element(t.x, t.y, t.z) : cell;
+      f_.raw(this->soa(even ? j : i, tc)) = static_cast<ST>(f[i]);
     } else {
       if (!have_rho) {
         // The narrowed density the moving-wall correction will read next
@@ -168,387 +171,20 @@ void EpEngine<L, ST>::impose(int x, int y, int z, const Moments<L>& m) {
 
 template <class L, class ST>
 std::size_t EpEngine<L, ST>::state_bytes() const {
-  return f_.size_bytes() + rim_.size_bytes() + (sparse_ ? tdev_.bytes() : 0);
+  return f_.size_bytes() + rim_.size_bytes() +
+         (this->sparse_ ? this->tdev_.bytes() : 0);
 }
 
 template <class L, class ST>
-void EpEngine<L, ST>::ensure_records() {
-  if (krec_even_ == nullptr) {
-    if (sparse_) {
-      const std::string base = std::string("ep_sparse_") + L::name();
-      krec_even_ = &prof_.record(base + "_even_fluid");
-      krec_odd_ = &prof_.record(base + "_odd_fluid");
-      krec_even_frontier_ = &prof_.record(base + "_even_fluid_frontier");
-      krec_odd_frontier_ = &prof_.record(base + "_odd_fluid_frontier");
-      krec_even_mixed_ = &prof_.record(base + "_even_mixed");
-      krec_odd_mixed_ = &prof_.record(base + "_odd_mixed");
-      krec_even_mixed_frontier_ =
-          &prof_.record(base + "_even_mixed_frontier");
-      krec_odd_mixed_frontier_ = &prof_.record(base + "_odd_mixed_frontier");
-      krec_even_->contract = krec_even_frontier_->contract =
-          krec_even_mixed_->contract = krec_even_mixed_frontier_->contract =
-              "ep.even";
-      krec_odd_->contract = krec_odd_frontier_->contract =
-          krec_odd_mixed_->contract = krec_odd_mixed_frontier_->contract =
-              "ep.odd";
-      return;
-    }
-    krec_even_ = &prof_.record(std::string("ep_even_") + L::name());
-    krec_odd_ = &prof_.record(std::string("ep_odd_") + L::name());
-    krec_even_frontier_ =
-        &prof_.record(std::string("ep_even_") + L::name() + "_frontier");
-    krec_odd_frontier_ =
-        &prof_.record(std::string("ep_odd_") + L::name() + "_frontier");
-    krec_even_->contract = krec_even_frontier_->contract = "ep.even";
-    krec_odd_->contract = krec_odd_frontier_->contract = "ep.odd";
-  }
-}
-
-template <class L, class ST>
-void EpEngine<L, ST>::do_step() {
-  ensure_records();
-  if (sparse_) {
-    step_sparse(0, 0, /*frontier_only=*/false, nullptr);
-    return;
-  }
-  const bool even = even_phase();
-  step_range(even, 0, this->geo_.box.nx, even ? *krec_even_ : *krec_odd_);
-}
-
-template <class L, class ST>
-void EpEngine<L, ST>::step_sparse(
-    int fl, int fr, bool frontier_only,
+void EpEngine<L, ST>::step_nodes(
+    const FrontierSpec* fs,
     const typename Engine<L>::FrontierDoneFn& on_frontier) {
-  const bool even = even_phase();
-  const auto run = [&](const gpusim::GlobalArray<std::int32_t>& list,
-                       const gpusim::GlobalArray<std::uint64_t>* masks,
-                       int begin, int count, gpusim::KernelRecord& rec) {
-    step_tiles(even, list, masks, begin, count, rec);
-  };
-  gpusim::KernelRecord& rfl = even ? *krec_even_ : *krec_odd_;
-  gpusim::KernelRecord& rflf =
-      even ? *krec_even_frontier_ : *krec_odd_frontier_;
-  gpusim::KernelRecord& rmx = even ? *krec_even_mixed_ : *krec_odd_mixed_;
-  gpusim::KernelRecord& rmxf =
-      even ? *krec_even_mixed_frontier_ : *krec_odd_mixed_frontier_;
-  // The fluid and mixed launches of one step share a freshness window.
-  gpusim::LaunchGroup group(prof_);
-  if (fl <= 0 && fr <= 0) {
-    // Monolithic step (or degenerate split: everything is frontier).
-    run(tdev_.fluid, nullptr, 0, tdev_.n_fluid_tiles, rfl);
-    run(tdev_.mixed, &tdev_.mask, 0, tdev_.n_mixed_tiles, rmx);
-    if (frontier_only && on_frontier) on_frontier();
-    return;
-  }
-  const TileGridInfo& g = tdev_.grid;
-  const int nx = this->geo_.box.nx;
-  const TileRange rf = partition_tiles(tdev_.fluid, tdev_.n_fluid_tiles,
-                                       g.tdx, g.ntx, nx, fl, fr);
-  const TileRange rm = partition_tiles(tdev_.mixed, tdev_.n_mixed_tiles,
-                                       g.tdx, g.ntx, nx, fl, fr);
-  if (rf.degenerate() || rm.degenerate()) {
-    run(tdev_.fluid, nullptr, 0, tdev_.n_fluid_tiles, rfl);
-    run(tdev_.mixed, &tdev_.mask, 0, tdev_.n_mixed_tiles, rmx);
-    if (on_frontier) on_frontier();
-    return;
-  }
-  // Every lattice word has a unique reader == writer node, so completing
-  // the frontier tiles finalizes every frontier plane (the one-plane source
-  // extension is already folded into fl/fr by the caller; tiles over-cover
-  // the planes).
-  run(tdev_.fluid, nullptr, 0, rf.left, rflf);
-  run(tdev_.fluid, nullptr, rf.right, rf.n - rf.right, rflf);
-  run(tdev_.mixed, &tdev_.mask, 0, rm.left, rmxf);
-  run(tdev_.mixed, &tdev_.mask, rm.right, rm.n - rm.right, rmxf);
-  if (on_frontier) on_frontier();
-  run(tdev_.fluid, nullptr, rf.left, rf.right - rf.left, rfl);
-  run(tdev_.mixed, &tdev_.mask, rm.left, rm.right - rm.left, rmx);
-}
-
-template <class L, class ST>
-void EpEngine<L, ST>::do_step_split(
-    const FrontierSpec& fs,
-    const typename Engine<L>::FrontierDoneFn& on_frontier) {
-  const Box& b = this->geo_.box;
-  ensure_records();
-  const bool even = even_phase();
-  // Both parities reach planes x-1..x+1 from source x, so finalizing
-  // [0, left) needs sources [0, left] (ext 1); disjoint source ranges touch
-  // disjoint words (unique reader == writer per word), so the launches
-  // commute.
-  const int ext = 1;
-  const int fl = fs.left > 0 ? fs.left + ext : 0;
-  const int fr = fs.right > 0 ? fs.right + ext : 0;
-  if (sparse_) {
-    // Same plane contract; the tile partition over-covers the planes.
-    if (fs.empty() || fl + fr >= b.nx) {
-      step_sparse(0, 0, /*frontier_only=*/true, on_frontier);
-    } else {
-      step_sparse(fl, fr, /*frontier_only=*/false, on_frontier);
-    }
-    return;
-  }
-  gpusim::KernelRecord& rec = even ? *krec_even_ : *krec_odd_;
-  gpusim::KernelRecord& frec =
-      even ? *krec_even_frontier_ : *krec_odd_frontier_;
-  if (fs.empty() || fl + fr >= b.nx) {
-    step_range(even, 0, b.nx, rec);
-    if (on_frontier) on_frontier();
+  const NodeBase<L> base = this->node_base(/*batched=*/false);
+  if (even_phase()) {
+    this->run_step(0, Node<true>{base, this, &f_, &rim_}, fs, on_frontier);
   } else {
-    gpusim::LaunchGroup group(prof_);
-    if (fl > 0) step_range(even, 0, fl, frec);
-    if (fr > 0) step_range(even, b.nx - fr, b.nx, frec);
-    if (on_frontier) on_frontier();
-    step_range(even, fl, b.nx - fr, rec);
+    this->run_step(1, Node<false>{base, this, &f_, &rim_}, fs, on_frontier);
   }
-}
-
-template <class L, class ST>
-void EpEngine<L, ST>::step_range(bool even, int rx0, int rx1,
-                                 gpusim::KernelRecord& rec) {
-  const Box& b = this->geo_.box;
-  const Geometry& geo = this->geo_;
-  const bool solids = geo.has_solids();
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-  gpusim::GlobalArray<ST>& f = f_;
-  gpusim::GlobalArray<real_t>& rim = rim_;
-
-  const auto nxr = static_cast<index_t>(rx1 - rx0);
-  const index_t rcells = nxr * b.ny * b.nz;
-
-  const int tpb = threads_per_block_;
-  const auto nblocks =
-      static_cast<int>((rcells + tpb - 1) / static_cast<index_t>(tpb));
-
-  // Gather f_i(x, t) from slot (even ? opposite(i) : i) of the node itself
-  // (plus half-set and rest) or the upwind neighbour (minus half-set);
-  // blocked links read the rim, applying the moving-wall correction at read
-  // time from the rim density — ST pull's exact arithmetic.
-  const auto gather = [&](index_t cell, int x, int y, int z,
-                          real_t (&fl)[L::Q]) MLBM_ALWAYS_INLINE {
-    for (int i = 0; i < L::Q; ++i) {
-      const int j = L::opposite(i);
-      const StreamTarget t = resolve_stream<L>(geo, x, y, z, j);
-      if (t.kind == StreamTarget::Kind::kInterior) {
-        const index_t tc = j < i ? b.idx(t.x, t.y, t.z) : cell;
-        fl[i] = f.template load_as<real_t>(soa(even ? j : i, tc));
-      } else {
-        const index_t rb = rim_base(cell, j);
-        real_t v = rim.template load_as<real_t>(rb);
-        if (t.kind == StreamTarget::Kind::kBounce && t.cu_wall != real_t(0)) {
-          v -= real_t(2) * L::w[static_cast<std::size_t>(i)] *
-               rim.template load_as<real_t>(rb + 1) * t.cu_wall * inv_cs2;
-        }
-        fl[i] = v;
-      }
-    }
-  };
-  // Scatter f*_i(x, t) into slot (even ? i : opposite(i)) of the downwind
-  // neighbour (plus half-set) or the node itself; blocked links park the
-  // storage-narrowed value plus the narrowed post-collision density in the
-  // rim for next step's bounce/open gather.
-  const auto scatter = [&](index_t cell, int x, int y, int z,
-                           const real_t (&fl)[L::Q]) MLBM_ALWAYS_INLINE {
-    real_t rho_post = 0;
-    bool have_rho = false;
-    for (int i = 0; i < L::Q; ++i) {
-      const int j = L::opposite(i);
-      const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-      if (t.kind == StreamTarget::Kind::kInterior) {
-        const index_t tc = i < j ? b.idx(t.x, t.y, t.z) : cell;
-        f.template store_as<real_t>(soa(even ? i : j, tc), fl[i]);
-      } else {
-        if (!have_rho) {
-          for (int k = 0; k < L::Q; ++k) {
-            rho_post += static_cast<real_t>(static_cast<ST>(fl[k]));
-          }
-          have_rho = true;
-        }
-        const index_t rb = rim_base(cell, i);
-        rim.template store_as<real_t>(
-            rb, static_cast<real_t>(static_cast<ST>(fl[i])));
-        rim.template store_as<real_t>(rb + 1, rho_post);
-      }
-    }
-  };
-
-  if (exec_ != ExecMode::kLanes) {
-    // Flat scalar body with the collision scheme dispatched once per launch
-    // (see st_engine.cpp for the rationale).
-    dispatch_collision(scheme, [&](auto sc) {
-      gpusim::launch(
-          prof_, rec, gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-          [&](gpusim::BlockCtx& blk) {
-            blk.for_each_thread([&](const gpusim::Dim3& tid) {
-              const index_t r =
-                  static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-              if (r >= rcells) return;
-              const int x = rx0 + static_cast<int>(r % nxr);
-              const int y = static_cast<int>((r / nxr) % b.ny);
-              const int z =
-                  static_cast<int>(r / (nxr * static_cast<index_t>(b.ny)));
-              // Solid nodes must not run: their scatter would rewrite live
-              // words of fluid neighbours (unlike ST, whose dense kernel
-              // writes only the node's own span).
-              if (solids && geo.solid(x, y, z)) return;
-              const index_t cell = b.idx(x, y, z);
-              real_t fl[L::Q];
-              gather(cell, x, y, z, fl);
-              collide<L, decltype(sc)::value>(fl, tau);
-              scatter(cell, x, y, z, fl);
-            });
-          });
-    });
-    return;
-  }
-  // Panel reordering of the in-place update is exact: every lattice word
-  // has a unique reader == writer node, so only each node's own
-  // gather-before-scatter order matters, which the panel preserves.
-  gpusim::launch(
-      prof_, rec, gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-      [&](gpusim::BlockCtx& blk) {
-        const index_t start = static_cast<index_t>(blk.block_idx().x) * tpb;
-        const index_t end = std::min(start + tpb, rcells);
-        for (index_t p0 = start; p0 < end; p0 += kLaneWidth) {
-          const int n =
-              static_cast<int>(std::min<index_t>(kLaneWidth, end - p0));
-          real_t panel[L::Q][kLaneWidth];
-          index_t cellv[kLaneWidth];
-          bool live[kLaneWidth];
-          for (int ln = 0; ln < n; ++ln) {
-            const index_t rr = p0 + ln;
-            const int x = rx0 + static_cast<int>(rr % nxr);
-            const int y = static_cast<int>((rr / nxr) % b.ny);
-            const int z =
-                static_cast<int>(rr / (nxr * static_cast<index_t>(b.ny)));
-            live[ln] = !(solids && geo.solid(x, y, z));
-            cellv[ln] = live[ln] ? b.idx(x, y, z) : index_t(0);
-            // Dead lanes carry rest-state populations through the collide
-            // (rho 1, u 0 — keeps the panel finite); their result is never
-            // scattered.
-            real_t fl[L::Q];
-            for (int i = 0; i < L::Q; ++i) {
-              fl[i] = L::w[static_cast<std::size_t>(i)];
-            }
-            if (live[ln]) gather(cellv[ln], x, y, z, fl);
-            for (int i = 0; i < L::Q; ++i) panel[i][ln] = fl[i];
-          }
-          collide_lanes<L, kLaneWidth>(scheme, panel, n, tau);
-          for (int ln = 0; ln < n; ++ln) {
-            if (!live[ln]) continue;
-            const index_t rr = p0 + ln;
-            const int x = rx0 + static_cast<int>(rr % nxr);
-            const int y = static_cast<int>((rr / nxr) % b.ny);
-            const int z =
-                static_cast<int>(rr / (nxr * static_cast<index_t>(b.ny)));
-            real_t fl[L::Q];
-            for (int i = 0; i < L::Q; ++i) fl[i] = panel[i][ln];
-            scatter(cellv[ln], x, y, z, fl);
-          }
-        }
-      });
-}
-
-template <class L, class ST>
-void EpEngine<L, ST>::step_tiles(bool even,
-                                 const gpusim::GlobalArray<std::int32_t>& list,
-                                 const gpusim::GlobalArray<std::uint64_t>* masks,
-                                 int begin, int count,
-                                 gpusim::KernelRecord& rec) {
-  if (count <= 0) return;
-  const Geometry& geo = this->geo_;
-  const TileGridInfo g = tdev_.grid;
-  const bool is3d = geo.box.nz > 1;
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-  gpusim::GlobalArray<ST>& f = f_;
-  gpusim::GlobalArray<real_t>& rim = rim_;
-  const int tpb = threads_per_block_;
-  const int nblocks = (count + tpb - 1) / tpb;
-
-  // One thread per tile; both parities cross tile borders (pulled half
-  // upwind, pushed half downwind), so the full neighbour-slot stash is
-  // loaded. The occupancy mask keeps solid locals from running — mandatory
-  // here, since an in-place scatter from a solid node would rewrite live
-  // fluid words.
-  dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec, gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-        [&](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= static_cast<index_t>(count)) return;
-            const std::int32_t tile =
-                list.load(static_cast<index_t>(begin) + r);
-            const std::uint64_t occ =
-                masks != nullptr ? masks->load(static_cast<index_t>(begin) + r)
-                                 : ~std::uint64_t{0};
-            const int tx = tile % g.ntx;
-            const int ty = (tile / g.ntx) % g.nty;
-            const int tz = tile / (g.ntx * g.nty);
-            std::int32_t stash[27];
-            load_tile_stash(tdev_.slots, g, tx, ty, tz, is3d, stash);
-            const index_t own_base =
-                static_cast<index_t>(stash[13]) * TileMap::kSlots;
-            for (int local = 0; local < TileMap::kSlots; ++local) {
-              if (!(occ >> local & 1ull)) continue;
-              const int x = tx * g.tdx + local % g.tdx;
-              const int y = ty * g.tdy + (local / g.tdx) % g.tdy;
-              const int z = tz * g.tdz + local / (g.tdx * g.tdy);
-              const index_t elem = own_base + local;
-              real_t fl[L::Q];
-              for (int i = 0; i < L::Q; ++i) {
-                const int j = L::opposite(i);
-                const StreamTarget t = resolve_stream<L>(geo, x, y, z, j);
-                if (t.kind == StreamTarget::Kind::kInterior) {
-                  const index_t tc =
-                      j < i ? stash_elem(stash, g, tx, ty, tz, t.x, t.y, t.z)
-                            : elem;
-                  fl[i] = f.template load_as<real_t>(soa(even ? j : i, tc));
-                } else {
-                  const index_t rb = rim_base(elem, j);
-                  real_t v = rim.template load_as<real_t>(rb);
-                  if (t.kind == StreamTarget::Kind::kBounce &&
-                      t.cu_wall != real_t(0)) {
-                    v -= real_t(2) * L::w[static_cast<std::size_t>(i)] *
-                         rim.template load_as<real_t>(rb + 1) * t.cu_wall *
-                         inv_cs2;
-                  }
-                  fl[i] = v;
-                }
-              }
-              collide<L, decltype(sc)::value>(fl, tau);
-              real_t rho_post = 0;
-              bool have_rho = false;
-              for (int i = 0; i < L::Q; ++i) {
-                const int j = L::opposite(i);
-                const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-                if (t.kind == StreamTarget::Kind::kInterior) {
-                  const index_t tc =
-                      i < j ? stash_elem(stash, g, tx, ty, tz, t.x, t.y, t.z)
-                            : elem;
-                  f.template store_as<real_t>(soa(even ? i : j, tc), fl[i]);
-                } else {
-                  if (!have_rho) {
-                    for (int k = 0; k < L::Q; ++k) {
-                      rho_post += static_cast<real_t>(static_cast<ST>(fl[k]));
-                    }
-                    have_rho = true;
-                  }
-                  const index_t rb = rim_base(elem, i);
-                  rim.template store_as<real_t>(
-                      rb, static_cast<real_t>(static_cast<ST>(fl[i])));
-                  rim.template store_as<real_t>(rb + 1, rho_post);
-                }
-              }
-            }
-          });
-        });
-  });
 }
 
 template class EpEngine<D2Q9, double>;

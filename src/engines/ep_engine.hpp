@@ -41,28 +41,22 @@
 // `ST` is the storage-precision policy (element type of the single
 // lattice); compute stays real_t with conversion at the register boundary.
 //
-// Sparse geometries (Geometry::sparse()): the lattice is tile-compressed
-// exactly like StEngine's pair (tile_kernels.hpp); both parities cross tile
-// borders, so every sparse launch loads the full neighbour-slot stash.
-// Sparse always runs the scalar kernel bodies (ExecMode::kLanes falls back;
-// bit-identical by construction).
+// Both parities are one node body run by the shared launch skeleton
+// (dist_launch.hpp). Sparse geometries tile-compress the lattice exactly
+// like StEngine's pair (tile_kernels.hpp); both parities cross tile borders,
+// so every sparse launch loads the full neighbour-slot stash. Sparse runs
+// the scalar driver in both execution modes (bit-identical by construction).
 #pragma once
 
 #include <unordered_map>
 
-#include "core/collision.hpp"
-#include "engines/engine.hpp"
-#include "engines/tile_kernels.hpp"
-#include "gpusim/global_array.hpp"
-#include "gpusim/profiler.hpp"
+#include "engines/dist_launch.hpp"
 
 namespace mlbm {
 
 template <class L, class ST = real_t>
-class EpEngine final : public Engine<L> {
+class EpEngine final : public DistEngine<L, ST> {
  public:
-  using StorageT = ST;
-
   /// `exec` selects the scalar or lane-batched kernel body. Lane batching is
   /// safe because every lattice word has a unique reader == writer node, so
   /// only each node's own gather-before-scatter order matters — which panels
@@ -74,20 +68,9 @@ class EpEngine final : public Engine<L> {
            int threads_per_block = 256, ExecMode exec = default_exec_mode());
 
   [[nodiscard]] const char* pattern_name() const override { return "EP"; }
-  void initialize(const typename Engine<L>::InitFn& init) override;
   [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
   void impose(int x, int y, int z, const Moments<L>& m) override;
   [[nodiscard]] std::size_t state_bytes() const override;
-  [[nodiscard]] StoragePrecision storage_precision() const override {
-    return precision_of_v<ST>;
-  }
-
-  [[nodiscard]] gpusim::Profiler* profiler() override { return &prof_; }
-  [[nodiscard]] const gpusim::Profiler* profiler() const override {
-    return &prof_;
-  }
-  [[nodiscard]] int threads_per_block() const { return threads_per_block_; }
-  [[nodiscard]] ExecMode exec_mode() const { return exec_; }
 
   /// Declared kernel accesses of the two parities. The analyzer re-proves
   /// the esoteric invariant from the declaration alone: in each parity the
@@ -102,10 +85,10 @@ class EpEngine final : public Engine<L> {
   /// sliding-window freshness check; the dead words behind blocked links are
   /// never read, so they never trip it.
   void set_sanitizer(gpusim::SanitizerHook* san) override {
-    prof_.set_sanitizer_hook(san);
+    this->prof_.set_sanitizer_hook(san);
     f_.set_sanitizer(san, "f", /*sliding_window=*/true);
     rim_.set_sanitizer(san, "rim", /*sliding_window=*/true);
-    if (sparse_) tdev_.set_sanitizer(san);
+    if (this->sparse_) this->tdev_.set_sanitizer(san);
   }
 
   void set_unique_read_tracking(bool on) override {
@@ -138,15 +121,7 @@ class EpEngine final : public Engine<L> {
   /// states, so a blob only restores into an engine re-timed to the same
   /// parity, which restore_state guarantees by calling set_time() first.
   [[nodiscard]] std::string raw_state_tag() const override {
-    const Box& b = this->geo_.box;
-    std::string tag = std::string(pattern_name()) +
-                      (this->t_ % 2 == 1 ? "|odd|" : "|even|") +
-                      std::to_string(b.nx) + "x" + std::to_string(b.ny) + "x" +
-                      std::to_string(b.nz);
-    if (sparse_) {
-      tag += "|sparse:" + std::to_string(this->geo_.hash());
-    }
-    return tag;
+    return this->layout_tag(even_phase() ? "|even|" : "|odd|");
   }
   void serialize_raw_state(std::vector<real_t>& out) const override {
     out.reserve(out.size() + f_.size() + rim_.size());
@@ -169,26 +144,15 @@ class EpEngine final : public Engine<L> {
     }
   }
 
-  /// Both parities touch planes x-1..x+1 from source x (the pulled half
-  /// reaches upwind, the pushed half downwind), so split steps extend the
-  /// frontier by one source plane; disjoint source ranges touch disjoint
-  /// words (unique reader == writer per word), so the launches commute.
-  [[nodiscard]] bool supports_frontier_split() const override { return true; }
-
  protected:
-  void do_step() override;
-  void do_step_split(const FrontierSpec& fs,
-                     const typename Engine<L>::FrontierDoneFn& on_frontier)
+  void step_nodes(const FrontierSpec* fs,
+                  const typename Engine<L>::FrontierDoneFn& on_frontier)
       override;
 
  private:
-  [[nodiscard]] index_t soa(int i, index_t elem) const {
-    return static_cast<index_t>(i) * elems_ + elem;
-  }
-  [[nodiscard]] index_t element(int x, int y, int z) const {
-    return sparse_ ? this->geo_.tiles().element(x, y, z)
-                   : this->geo_.box.idx(x, y, z);
-  }
+  template <bool kEven>
+  struct Node;
+
   /// True when the NEXT step runs the even-parity slot mapping (the state
   /// in memory was written by the opposite parity's scatter map).
   [[nodiscard]] bool even_phase() const { return this->t_ % 2 == 0; }
@@ -204,23 +168,7 @@ class EpEngine final : public Engine<L> {
   }
 
   void build_rim_index();
-  void ensure_records();
-  /// One launch covering source nodes in planes [rx0, rx1); the full range
-  /// is bit-identical to the monolithic step (see StEngine).
-  void step_range(bool even, int rx0, int rx1, gpusim::KernelRecord& rec);
-  /// Sparse launches over tile-list entries [begin, begin + count): one
-  /// thread per tile, 64 locals swept inside. `masks` is null for the
-  /// all-fluid list. Scalar-only.
-  void step_tiles(bool even, const gpusim::GlobalArray<std::int32_t>& list,
-                  const gpusim::GlobalArray<std::uint64_t>* masks, int begin,
-                  int count, gpusim::KernelRecord& rec);
-  void step_sparse(int fl, int fr, bool frontier_only,
-                   const typename Engine<L>::FrontierDoneFn& on_frontier);
 
-  CollisionScheme scheme_;
-  int threads_per_block_;
-  ExecMode exec_;
-  gpusim::Profiler prof_;
   gpusim::GlobalArray<ST> f_;
   /// Boundary rim: [value, density] per blocked link, real_t words holding
   /// already-narrowed values (see file comment). Empty on wall-free
@@ -228,18 +176,6 @@ class EpEngine final : public Engine<L> {
   gpusim::GlobalArray<real_t> rim_;
   /// (element * Q + direction) -> rim link slot, host-built at construction.
   std::unordered_map<std::uint64_t, index_t> rim_index_;
-  /// Elements per direction: box cells (dense) or tile slots * 64 (sparse).
-  index_t elems_ = 0;
-  bool sparse_ = false;
-  TileIndexDev tdev_;
-  gpusim::KernelRecord* krec_even_ = nullptr;
-  gpusim::KernelRecord* krec_odd_ = nullptr;
-  gpusim::KernelRecord* krec_even_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_odd_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_even_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_odd_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_even_mixed_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_odd_mixed_frontier_ = nullptr;
 };
 
 extern template class EpEngine<D2Q9, double>;

@@ -1,707 +1,177 @@
 #include "engines/st_engine.hpp"
 
-#include <algorithm>
-
-#include "core/lanes.hpp"
-#include "core/regularization.hpp"
-#include "engines/streaming.hpp"
-#include "gpusim/launch.hpp"
-
 namespace mlbm {
 
+/// Pull: stream-then-collide (Algorithm 1). Gathers each population from its
+/// upwind source — pulling direction i is a push along opposite(i) from this
+/// node, so the shared resolver is reused with the opposite velocity — and
+/// writes the node's Q post-collision populations back as one coalesced span
+/// (scalar fallback kept for the traffic invariance tests).
 template <class L, class ST>
-StEngine<L, ST>::StEngine(Geometry geo, real_t tau, CollisionScheme scheme,
-                          int threads_per_block, StreamMode mode,
-                          ExecMode exec)
-    : Engine<L>(std::move(geo), tau),
-      scheme_(scheme),
-      threads_per_block_(threads_per_block),
-      mode_(mode),
-      exec_(exec) {
-  sparse_ = this->geo_.sparse();
-  if (sparse_) {
-    if (mode_ == StreamMode::kPush) {
-      throw ConfigError(
-          "StEngine: push streaming does not support sparse geometries "
-          "(use pull, the paper's ST baseline)");
-    }
-    const TileMap& tm = this->geo_.tiles();
-    tdev_.build(tm, &prof_.counter());
-    elems_ = tm.elements();
-  } else {
-    elems_ = this->geo_.box.cells();
-  }
-  const auto n =
-      static_cast<std::size_t>(elems_) * static_cast<std::size_t>(L::Q);
-  f_[0].allocate(n, &prof_.counter());
-  f_[1].allocate(n, &prof_.counter());
-}
+struct StEngine<L, ST>::PullNode : NodeBase<L> {
+  static constexpr bool kNodeLocal = false;
+  const gpusim::GlobalArray<ST>* src;
+  gpusim::GlobalArray<ST>* dst;
 
-template <class L, class ST>
-void StEngine<L, ST>::impose_population(int x, int y, int z,
-                                        const real_t (&f)[L::Q]) {
-  const index_t cell = element(x, y, z);
-  for (int i = 0; i < L::Q; ++i) {
-    f_[cur_].raw(soa(i, cell)) = static_cast<ST>(f[i]);
-  }
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::initialize(const typename Engine<L>::InitFn& init) {
-  const Box& b = this->geo_.box;
-  const bool solids = this->geo_.has_solids();
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        if (solids && this->geo_.solid(x, y, z)) continue;
-        impose(x, y, z, init(x, y, z));
-      }
-    }
-  }
-}
-
-template <class L, class ST>
-Moments<L> StEngine<L, ST>::moments_at(int x, int y, int z) const {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
-    return solid_moments<L>();
-  }
-  const index_t cell = element(x, y, z);
-  real_t f[L::Q];
-  for (int i = 0; i < L::Q; ++i) {
-    f[i] = static_cast<real_t>(f_[cur_].raw(soa(i, cell)));
-  }
-  Moments<L> m = compute_moments<L>(f);
-  if (mode_ == StreamMode::kPush) {
-    // Push stores the pre-collision state directly.
-    return m;
-  }
-  // Pull stores post-collision; translate back to the pre-collision moment
-  // convention shared by all engines. Collision conserves rho and u; the
-  // non-equilibrium second moment was scaled by (1 - 1/tau).
-  const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  if (factor != real_t(0)) {
-    for (int p = 0; p < Moments<L>::NP; ++p) {
-      const auto [a, b] = Moments<L>::pair(p);
-      const real_t eq = m.rho * m.u[static_cast<std::size_t>(a)] *
-                        m.u[static_cast<std::size_t>(b)];
-      m.pi[static_cast<std::size_t>(p)] =
-          eq + (m.pi[static_cast<std::size_t>(p)] - eq) / factor;
-    }
-  }
-  return m;
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::impose(int x, int y, int z, const Moments<L>& m) {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) return;
-  real_t pineq[Moments<L>::NP];
-  real_t f[L::Q];
-  if (mode_ == StreamMode::kPush) {
-    // Pre-collision storage: the exact population with these moments.
-    for (int p = 0; p < Moments<L>::NP; ++p) pineq[p] = m.pi_neq(p);
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = reconstruct_projective<L>(i, m.rho, m.u.data(), pineq);
-    }
-    impose_population(x, y, z, f);
-    return;
-  }
-  // Pull: store the post-collision image of the imposed pre-collision state
-  // so the next step streams exactly what the push-style engines stream.
-  const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  for (int p = 0; p < Moments<L>::NP; ++p) {
-    pineq[p] = factor * m.pi_neq(p);
-  }
-  // One scheme branch per node, not per population: the templated
-  // reconstruction loops carry no runtime dispatch.
-  if (scheme_ == CollisionScheme::kRecursive) {
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = reconstruct_recursive<L>(i, m.rho, m.u.data(), pineq);
-    }
-  } else {
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = reconstruct_projective<L>(i, m.rho, m.u.data(), pineq);
-    }
-  }
-  impose_population(x, y, z, f);
-}
-
-template <class L, class ST>
-std::size_t StEngine<L, ST>::state_bytes() const {
-  return f_[0].size_bytes() + f_[1].size_bytes() +
-         (sparse_ ? tdev_.bytes() : 0);
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::ensure_records() {
-  if (krec_ == nullptr) {
-    if (sparse_) {
-      // Per-tile-class records: the bytes-vs-fluid-fraction claim is checked
-      // from the profiler, so dense-fast-path and masked traffic must stay
-      // separable.
-      const std::string base = std::string("st_sparse_") + L::name();
-      krec_ = &prof_.record(base + "_fluid");
-      krec_frontier_ = &prof_.record(base + "_fluid_frontier");
-      krec_mixed_ = &prof_.record(base + "_mixed");
-      krec_mixed_frontier_ = &prof_.record(base + "_mixed_frontier");
-      // Sparse is pull-only; all four launches obey the pull contract.
-      krec_->contract = krec_frontier_->contract = krec_mixed_->contract =
-          krec_mixed_frontier_->contract = "st.pull";
-      return;
-    }
-    const std::string base = mode_ == StreamMode::kPull
-                                 ? std::string("st_stream_collide_") + L::name()
-                                 : std::string("st_push_collide_stream_") +
-                                       L::name();
-    krec_ = &prof_.record(base);
-    krec_frontier_ = &prof_.record(base + "_frontier");
-    krec_->contract = krec_frontier_->contract =
-        mode_ == StreamMode::kPull ? "st.pull" : "st.push";
-  }
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::do_step() {
-  ensure_records();
-  if (sparse_) {
-    step_sparse(0, 0, /*frontier_only=*/false, nullptr);
-  } else if (mode_ == StreamMode::kPull) {
-    step_pull(0, this->geo_.box.nx, *krec_);
-  } else {
-    step_push(0, this->geo_.box.nx, *krec_);
-  }
-  cur_ = 1 - cur_;
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::step_sparse(
-    int fl, int fr, bool frontier_only,
-    const typename Engine<L>::FrontierDoneFn& on_frontier) {
-  // The fluid and mixed launches of one step share a freshness window.
-  gpusim::LaunchGroup group(prof_);
-  if (fl <= 0 && fr <= 0) {
-    // Monolithic step (or degenerate split: everything is frontier).
-    step_pull_tiles(tdev_.fluid, nullptr, 0, tdev_.n_fluid_tiles, *krec_);
-    step_pull_tiles(tdev_.mixed, &tdev_.mask, 0, tdev_.n_mixed_tiles,
-                    *krec_mixed_);
-    if (frontier_only && on_frontier) on_frontier();
-    return;
-  }
-  const TileGridInfo& g = tdev_.grid;
-  const int nx = this->geo_.box.nx;
-  const TileRange rf = partition_tiles(tdev_.fluid, tdev_.n_fluid_tiles,
-                                       g.tdx, g.ntx, nx, fl, fr);
-  const TileRange rm = partition_tiles(tdev_.mixed, tdev_.n_mixed_tiles,
-                                       g.tdx, g.ntx, nx, fl, fr);
-  if (rf.degenerate() || rm.degenerate()) {
-    step_pull_tiles(tdev_.fluid, nullptr, 0, tdev_.n_fluid_tiles, *krec_);
-    step_pull_tiles(tdev_.mixed, &tdev_.mask, 0, tdev_.n_mixed_tiles,
-                    *krec_mixed_);
-    if (on_frontier) on_frontier();
-    return;
-  }
-  // Pull writes only the owning tile, so completing the frontier tiles
-  // finalizes every frontier plane (tiles over-cover the planes; the extra
-  // nodes are simply final early).
-  step_pull_tiles(tdev_.fluid, nullptr, 0, rf.left, *krec_frontier_);
-  step_pull_tiles(tdev_.fluid, nullptr, rf.right, rf.n - rf.right,
-                  *krec_frontier_);
-  step_pull_tiles(tdev_.mixed, &tdev_.mask, 0, rm.left,
-                  *krec_mixed_frontier_);
-  step_pull_tiles(tdev_.mixed, &tdev_.mask, rm.right, rm.n - rm.right,
-                  *krec_mixed_frontier_);
-  if (on_frontier) on_frontier();
-  step_pull_tiles(tdev_.fluid, nullptr, rf.left, rf.right - rf.left, *krec_);
-  step_pull_tiles(tdev_.mixed, &tdev_.mask, rm.left, rm.right - rm.left,
-                  *krec_mixed_);
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::do_step_split(
-    const FrontierSpec& fs,
-    const typename Engine<L>::FrontierDoneFn& on_frontier) {
-  const Box& b = this->geo_.box;
-  ensure_records();
-  if (sparse_) {
-    // Destination-partitioned (pull): no plane extension.
-    const int sfl = fs.left > 0 ? fs.left : 0;
-    const int sfr = fs.right > 0 ? fs.right : 0;
-    if (fs.empty() || sfl + sfr >= b.nx) {
-      step_sparse(0, 0, /*frontier_only=*/true, on_frontier);
-    } else {
-      step_sparse(sfl, sfr, /*frontier_only=*/false, on_frontier);
-    }
-    cur_ = 1 - cur_;
-    return;
-  }
-  // Pull partitions by destination plane (ext 0); push partitions by source
-  // plane, so finalizing target planes [0, left) needs sources [0, left]
-  // (ext 1) — and symmetrically on the right. No interior source then writes
-  // any frontier target.
-  const int ext = mode_ == StreamMode::kPush ? 1 : 0;
-  const int fl = fs.left > 0 ? fs.left + ext : 0;
-  const int fr = fs.right > 0 ? fs.right + ext : 0;
-  const auto run = [&](int x0, int x1, gpusim::KernelRecord& rec) {
-    if (mode_ == StreamMode::kPull) {
-      step_pull(x0, x1, rec);
-    } else {
-      step_push(x0, x1, rec);
-    }
-  };
-  if (fs.empty() || fl + fr >= b.nx) {
-    // Degenerate split (slab thinner than the frontier): whole step runs as
-    // frontier — correct, just with nothing left to hide behind.
-    run(0, b.nx, *krec_);
-    if (on_frontier) on_frontier();
-  } else {
-    // The three launches form one logical step: group them so the
-    // sanitizer's freshness window spans the whole step.
-    gpusim::LaunchGroup group(prof_);
-    if (fl > 0) run(0, fl, *krec_frontier_);
-    if (fr > 0) run(b.nx - fr, b.nx, *krec_frontier_);
-    if (on_frontier) on_frontier();
-    run(fl, b.nx - fr, *krec_);
-  }
-  cur_ = 1 - cur_;
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::step_pull_tiles(
-    const gpusim::GlobalArray<std::int32_t>& list,
-    const gpusim::GlobalArray<std::uint64_t>* masks, int begin, int count,
-    gpusim::KernelRecord& rec) {
-  if (count <= 0) return;
-  const Geometry& geo = this->geo_;
-  const TileGridInfo g = tdev_.grid;
-  const bool is3d = geo.box.nz > 1;
-  const index_t elems = elems_;
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-  const gpusim::GlobalArray<ST>& src = f_[cur_];
-  gpusim::GlobalArray<ST>& dst = f_[1 - cur_];
-  const bool batched = batched_io_;
-  const int tpb = threads_per_block_;
-  const int nblocks = (count + tpb - 1) / tpb;
-
-  // One thread per tile (the stand-in for a block owning a tile on a real
-  // GPU): the neighbour-slot stash is loaded once, then the 64 locals sweep
-  // with arithmetic addressing only. Mixed tiles additionally test the
-  // occupancy mask — a register operation, no extra traffic.
-  dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec, gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-        [&](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= static_cast<index_t>(count)) return;
-            const std::int32_t tile = list.load(static_cast<index_t>(begin) + r);
-            const std::uint64_t occ =
-                masks != nullptr ? masks->load(static_cast<index_t>(begin) + r)
-                                 : ~std::uint64_t{0};
-            const int tx = tile % g.ntx;
-            const int ty = (tile / g.ntx) % g.nty;
-            const int tz = tile / (g.ntx * g.nty);
-            std::int32_t stash[27];
-            load_tile_stash(tdev_.slots, g, tx, ty, tz, is3d, stash);
-            const index_t own_base =
-                static_cast<index_t>(stash[13]) * TileMap::kSlots;
-            for (int local = 0; local < TileMap::kSlots; ++local) {
-              if (!(occ >> local & 1ull)) continue;
-              const int x = tx * g.tdx + local % g.tdx;
-              const int y = ty * g.tdy + (local / g.tdx) % g.tdy;
-              const int z = tz * g.tdz + local / (g.tdx * g.tdy);
-              const index_t elem = own_base + local;
-              real_t f[L::Q];
-              real_t rho_self = real_t(-1);
-              for (int i = 0; i < L::Q; ++i) {
-                const StreamTarget t =
-                    resolve_stream<L>(geo, x, y, z, L::opposite(i));
-                switch (t.kind) {
-                  case StreamTarget::Kind::kInterior: {
-                    const index_t ne =
-                        stash_elem(stash, g, tx, ty, tz, t.x, t.y, t.z);
-                    f[i] = src.template load_as<real_t>(soa(i, ne));
-                    break;
-                  }
-                  case StreamTarget::Kind::kBounce: {
-                    real_t v = src.template load_as<real_t>(
-                        soa(L::opposite(i), elem));
-                    if (t.cu_wall != real_t(0)) {
-                      if (rho_self < real_t(0)) {
-                        rho_self = 0;
-                        for (int j = 0; j < L::Q; ++j) {
-                          rho_self +=
-                              src.template load_as<real_t>(soa(j, elem));
-                        }
-                      }
-                      v -= real_t(2) * L::w[static_cast<std::size_t>(i)] *
-                           rho_self * t.cu_wall * inv_cs2;
-                    }
-                    f[i] = v;
-                    break;
-                  }
-                  case StreamTarget::Kind::kDropped:
-                    f[i] = src.template load_as<real_t>(
-                        soa(L::opposite(i), elem));
-                    break;
-                }
-              }
-              collide<L, decltype(sc)::value>(f, tau);
-              if (batched) {
-                dst.template store_span_as<real_t>(elem, elems, L::Q, f);
-              } else {
-                for (int i = 0; i < L::Q; ++i) {
-                  dst.template store_as<real_t>(soa(i, elem), f[i]);
-                }
-              }
-            }
-          });
-        });
-  });
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::step_pull(int rx0, int rx1, gpusim::KernelRecord& rec) {
-  const Box& b = this->geo_.box;
-  const Geometry& geo = this->geo_;
-  const index_t cells = b.cells();
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-
-  const gpusim::GlobalArray<ST>& src = f_[cur_];
-  gpusim::GlobalArray<ST>& dst = f_[1 - cur_];
-  const bool batched = batched_io_;
-
-  // Plane-range remap: thread r covers node (rx0 + r % nxr, ...). For the
-  // full range this is exactly the flat cell index, so the monolithic step
-  // is bit-identical to the pre-split implementation.
-  const auto nxr = static_cast<index_t>(rx1 - rx0);
-  const index_t rcells = nxr * b.ny * b.nz;
-
-  const int tpb = threads_per_block_;
-  const auto nblocks =
-      static_cast<int>((rcells + tpb - 1) / static_cast<index_t>(tpb));
-
-  if (exec_ != ExecMode::kLanes) {
-    // Scalar body, written out in full: routing the gather/write-back
-    // through the lambdas the lane path uses costs GCC ~1/3 of the loop's
-    // throughput (the capture object defeats its alias analysis), so the
-    // scalar path keeps the flat seed-style form. The collision scheme is
-    // dispatched once per launch, not per node (see collision.hpp).
-    dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec,
-        gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-        [&, cells](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= rcells) return;
-            const int x = rx0 + static_cast<int>(r % nxr);
-            const int y = static_cast<int>((r / nxr) % b.ny);
-            const int z =
-                static_cast<int>(r / (nxr * static_cast<index_t>(b.ny)));
-            const index_t cell = b.idx(x, y, z);
-
-            // Streaming: pull each population from its upwind source
-            // (Algorithm 1, lines 4-10). Pulling direction i corresponds to
-            // a push along opposite(i) from this node, so the shared
-            // resolver is reused with the opposite velocity. Loads widen to
-            // real_t at the register boundary.
-            real_t f[L::Q];
-            real_t rho_self = real_t(-1);  // lazily computed for moving walls
-            for (int i = 0; i < L::Q; ++i) {
-              const StreamTarget t =
-                  resolve_stream<L>(geo, x, y, z, L::opposite(i));
-              switch (t.kind) {
-                case StreamTarget::Kind::kInterior:
-                  f[i] = src.template load_as<real_t>(
-                      soa(i, b.idx(t.x, t.y, t.z)));
-                  break;
-                case StreamTarget::Kind::kBounce: {
-                  real_t v =
-                      src.template load_as<real_t>(soa(L::opposite(i), cell));
-                  if (t.cu_wall != real_t(0)) {
-                    if (rho_self < real_t(0)) {
-                      rho_self = 0;
-                      for (int j = 0; j < L::Q; ++j) {
-                        rho_self +=
-                            src.template load_as<real_t>(soa(j, cell));
-                      }
-                    }
-                    v -= real_t(2) * L::w[static_cast<std::size_t>(i)] *
-                         rho_self * t.cu_wall * inv_cs2;
-                  }
-                  f[i] = v;
-                  break;
-                }
-                case StreamTarget::Kind::kDropped:
-                  // This node sits on an open face and is rebuilt by the BC
-                  // pass; any finite placeholder works.
-                  f[i] = src.template load_as<real_t>(
-                      soa(L::opposite(i), cell));
-                  break;
-              }
-            }
-
-            // Collision (Algorithm 1, lines 11-26).
-            collide<L, decltype(sc)::value>(f, tau);
-            // Coalesced write-back of all Q populations of this node (one
-            // counted transaction; scalar fallback kept for the traffic
-            // invariance tests).
-            if (batched) {
-              dst.template store_span_as<real_t>(cell, cells, L::Q, f);
-            } else {
-              for (int i = 0; i < L::Q; ++i) {
-                dst.template store_as<real_t>(soa(i, cell), f[i]);
-              }
-            }
-          });
-        });
-    });
-    return;
-  }
-  // Streaming gather for one node: pull each population from its upwind
-  // source (Algorithm 1, lines 4-10). Pulling direction i corresponds to a
-  // push along opposite(i) from this node, so the shared resolver is reused
-  // with the opposite velocity. Loads widen to real_t at the register
-  // boundary. The lane path issues the identical per-node load sequence as
-  // the scalar body above, just panel-interleaved.
-  const auto gather = [&](index_t cell, int x, int y, int z,
-                          real_t (&f)[L::Q]) MLBM_ALWAYS_INLINE {
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void gather(const Nb& nb, index_t elem, int x, int y,
+                                 int z, real_t (&f)[L::Q]) const {
     real_t rho_self = real_t(-1);  // lazily computed for moving walls
     for (int i = 0; i < L::Q; ++i) {
-      const StreamTarget t = resolve_stream<L>(geo, x, y, z, L::opposite(i));
+      const StreamTarget t = this->target(x, y, z, L::opposite(i));
       switch (t.kind) {
         case StreamTarget::Kind::kInterior:
-          f[i] = src.template load_as<real_t>(soa(i, b.idx(t.x, t.y, t.z)));
+          f[i] = src->template load_as<real_t>(this->soa(i, nb(t.x, t.y, t.z)));
           break;
         case StreamTarget::Kind::kBounce: {
-          real_t v = src.template load_as<real_t>(soa(L::opposite(i), cell));
+          real_t v =
+              src->template load_as<real_t>(this->soa(L::opposite(i), elem));
           if (t.cu_wall != real_t(0)) {
             if (rho_self < real_t(0)) {
               rho_self = 0;
               for (int j = 0; j < L::Q; ++j) {
-                rho_self += src.template load_as<real_t>(soa(j, cell));
+                rho_self += src->template load_as<real_t>(this->soa(j, elem));
               }
             }
-            v -= real_t(2) * L::w[static_cast<std::size_t>(i)] * rho_self *
-                 t.cu_wall * inv_cs2;
+            v -= wall_term<L>(i, rho_self, t.cu_wall);
           }
           f[i] = v;
           break;
         }
         case StreamTarget::Kind::kDropped:
-          // This node sits on an open face and is rebuilt by the BC
-          // pass; any finite placeholder works.
-          f[i] = src.template load_as<real_t>(soa(L::opposite(i), cell));
+          // This node sits on an open face and is rebuilt by the BC pass;
+          // any finite placeholder works.
+          f[i] = src->template load_as<real_t>(this->soa(L::opposite(i), elem));
           break;
       }
     }
-  };
-  // Coalesced write-back of all Q populations of one node (one counted
-  // transaction; scalar fallback kept for the traffic invariance tests).
-  const auto write_back = [&, cells](index_t cell,
-                                     const real_t (&f)[L::Q]) MLBM_ALWAYS_INLINE {
-    if (batched) {
-      dst.template store_span_as<real_t>(cell, cells, L::Q, f);
-    } else {
-      for (int i = 0; i < L::Q; ++i) {
-        dst.template store_as<real_t>(soa(i, cell), f[i]);
-      }
-    }
-  };
-
-  gpusim::launch(
-      prof_, rec,
-      gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-      [&](gpusim::BlockCtx& blk) {
-        // Lane-batched body: the block's cell range in SoA panels of
-        // kLaneWidth nodes. Gather and write-back stay per-node (identical
-        // access sequence to the scalar body); collision runs lane-major
-        // with SIMD inner loops (core/lanes.hpp).
-        const index_t start = static_cast<index_t>(blk.block_idx().x) * tpb;
-        const index_t end = std::min(start + tpb, rcells);
-        for (index_t p0 = start; p0 < end; p0 += kLaneWidth) {
-          const int n = static_cast<int>(
-              std::min<index_t>(kLaneWidth, end - p0));
-          real_t panel[L::Q][kLaneWidth];
-          index_t cellv[kLaneWidth];
-          for (int ln = 0; ln < n; ++ln) {
-            const index_t r = p0 + ln;
-            const int x = rx0 + static_cast<int>(r % nxr);
-            const int y = static_cast<int>((r / nxr) % b.ny);
-            const int z = static_cast<int>(
-                r / (nxr * static_cast<index_t>(b.ny)));
-            const index_t cell = b.idx(x, y, z);
-            cellv[ln] = cell;
-            real_t f[L::Q];
-            gather(cell, x, y, z, f);
-            for (int i = 0; i < L::Q; ++i) panel[i][ln] = f[i];
-          }
-          collide_lanes<L, kLaneWidth>(scheme, panel, n, tau);
-          for (int ln = 0; ln < n; ++ln) {
-            real_t f[L::Q];
-            for (int i = 0; i < L::Q; ++i) f[i] = panel[i][ln];
-            write_back(cellv[ln], f);
-          }
-        }
-      });
-}
-
-template <class L, class ST>
-void StEngine<L, ST>::step_push(int rx0, int rx1, gpusim::KernelRecord& rec) {
-  const Box& b = this->geo_.box;
-  const Geometry& geo = this->geo_;
-  const index_t cells = b.cells();
-  const real_t tau = this->tau_;
-  const real_t inv_cs2 = real_t(1) / L::cs2;
-  const CollisionScheme scheme = scheme_;
-
-  const gpusim::GlobalArray<ST>& src = f_[cur_];
-  gpusim::GlobalArray<ST>& dst = f_[1 - cur_];
-  const bool batched = batched_io_;
-
-  // Source-plane range remap (see step_pull); the full range degenerates to
-  // the flat cell index.
-  const auto nxr = static_cast<index_t>(rx1 - rx0);
-  const index_t rcells = nxr * b.ny * b.nz;
-
-  const int tpb = threads_per_block_;
-  const auto nblocks =
-      static_cast<int>((rcells + tpb - 1) / static_cast<index_t>(tpb));
-
-  if (exec_ != ExecMode::kLanes) {
-    // Flat scalar body for the same reason as step_pull: the shared lambdas
-    // cost the loop a third of its throughput under GCC. Scheme dispatched
-    // once per launch.
-    dispatch_collision(scheme, [&](auto sc) {
-    gpusim::launch(
-        prof_, rec,
-        gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-        [&, cells](gpusim::BlockCtx& blk) {
-          blk.for_each_thread([&](const gpusim::Dim3& tid) {
-            const index_t r =
-                static_cast<index_t>(blk.block_idx().x) * tpb + tid.x;
-            if (r >= rcells) return;
-            const int x = rx0 + static_cast<int>(r % nxr);
-            const int y = static_cast<int>((r / nxr) % b.ny);
-            const int z =
-                static_cast<int>(r / (nxr * static_cast<index_t>(b.ny)));
-            const index_t cell = b.idx(x, y, z);
-
-            // Coalesced read of the node's own (pre-collision) populations —
-            // one counted transaction when batched.
-            real_t f[L::Q];
-            if (batched) {
-              src.template load_span_as<real_t>(cell, cells, L::Q, f);
-            } else {
-              for (int i = 0; i < L::Q; ++i) {
-                f[i] = src.template load_as<real_t>(soa(i, cell));
-              }
-            }
-            real_t rho_pre = 0;
-            for (int i = 0; i < L::Q; ++i) rho_pre += f[i];
-            collide<L, decltype(sc)::value>(f, tau);
-
-            // Scatter the post-collision populations (irregular stores).
-            for (int i = 0; i < L::Q; ++i) {
-              const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
-              switch (t.kind) {
-                case StreamTarget::Kind::kInterior:
-                  dst.template store_as<real_t>(soa(i, b.idx(t.x, t.y, t.z)),
-                                                f[i]);
-                  break;
-                case StreamTarget::Kind::kBounce:
-                  dst.template store_as<real_t>(
-                      soa(L::opposite(i), cell),
-                      f[i] - real_t(2) * L::w[static_cast<std::size_t>(i)] *
-                                 rho_pre * t.cu_wall * inv_cs2);
-                  break;
-                case StreamTarget::Kind::kDropped:
-                  break;
-              }
-            }
-          });
-        });
-    });
-    return;
   }
-  // Coalesced read of one node's own (pre-collision) populations — one
-  // counted transaction when batched.
-  const auto read_own = [&, cells](index_t cell,
-                                   real_t (&f)[L::Q]) MLBM_ALWAYS_INLINE {
-    if (batched) {
-      src.template load_span_as<real_t>(cell, cells, L::Q, f);
-    } else {
-      for (int i = 0; i < L::Q; ++i) {
-        f[i] = src.template load_as<real_t>(soa(i, cell));
-      }
-    }
-  };
-  // Scatter one node's post-collision populations (irregular stores).
-  const auto scatter = [&](index_t cell, int x, int y, int z,
-                           const real_t (&f)[L::Q],
-                           real_t rho_pre) MLBM_ALWAYS_INLINE {
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void scatter(const Nb& /*nb*/, index_t elem, int, int,
+                                  int, const real_t (&f)[L::Q],
+                                  real_t /*rho_pre*/) const {
+    this->store_own(*dst, elem, f);
+  }
+};
+
+/// Push: collide-then-stream. One coalesced read of the node's own
+/// (pre-collision) populations, then irregular scatters of the
+/// post-collision ones downwind; wall links bounce back into the node's own
+/// opposite slot with the moving-wall correction from the pre-collision
+/// density.
+template <class L, class ST>
+struct StEngine<L, ST>::PushNode : NodeBase<L> {
+  static constexpr bool kNodeLocal = false;
+  const gpusim::GlobalArray<ST>* src;
+  gpusim::GlobalArray<ST>* dst;
+
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void gather(const Nb& /*nb*/, index_t elem, int, int,
+                                 int, real_t (&f)[L::Q]) const {
+    this->load_own(*src, elem, f);
+  }
+  template <class Nb>
+  MLBM_ALWAYS_INLINE void scatter(const Nb& nb, index_t elem, int x, int y,
+                                  int z, const real_t (&f)[L::Q],
+                                  real_t rho_pre) const {
     for (int i = 0; i < L::Q; ++i) {
-      const StreamTarget t = resolve_stream<L>(geo, x, y, z, i);
+      const StreamTarget t = this->target(x, y, z, i);
       switch (t.kind) {
         case StreamTarget::Kind::kInterior:
-          dst.template store_as<real_t>(soa(i, b.idx(t.x, t.y, t.z)), f[i]);
+          dst->template store_as<real_t>(this->soa(i, nb(t.x, t.y, t.z)), f[i]);
           break;
         case StreamTarget::Kind::kBounce:
-          dst.template store_as<real_t>(
-              soa(L::opposite(i), cell),
-              f[i] - real_t(2) * L::w[static_cast<std::size_t>(i)] * rho_pre *
-                         t.cu_wall * inv_cs2);
+          dst->template store_as<real_t>(
+              this->soa(L::opposite(i), elem),
+              f[i] - wall_term<L>(i, rho_pre, t.cu_wall));
           break;
         case StreamTarget::Kind::kDropped:
           break;
       }
     }
-  };
+  }
+};
 
-  gpusim::launch(
-      prof_, rec,
-      gpusim::Dim3{nblocks, 1, 1}, gpusim::Dim3{tpb, 1, 1},
-      [&](gpusim::BlockCtx& blk) {
-        const index_t start = static_cast<index_t>(blk.block_idx().x) * tpb;
-        const index_t end = std::min(start + tpb, rcells);
-        for (index_t p0 = start; p0 < end; p0 += kLaneWidth) {
-          const int n = static_cast<int>(
-              std::min<index_t>(kLaneWidth, end - p0));
-          real_t panel[L::Q][kLaneWidth];
-          real_t rho_pre[kLaneWidth];
-          index_t cellv[kLaneWidth];
-          for (int ln = 0; ln < n; ++ln) {
-            const index_t rr = p0 + ln;
-            const int x = rx0 + static_cast<int>(rr % nxr);
-            const int y = static_cast<int>((rr / nxr) % b.ny);
-            const int z = static_cast<int>(
-                rr / (nxr * static_cast<index_t>(b.ny)));
-            cellv[ln] = b.idx(x, y, z);
-            real_t f[L::Q];
-            read_own(cellv[ln], f);
-            real_t r = 0;
-            for (int i = 0; i < L::Q; ++i) r += f[i];
-            rho_pre[ln] = r;
-            for (int i = 0; i < L::Q; ++i) panel[i][ln] = f[i];
-          }
-          collide_lanes<L, kLaneWidth>(scheme, panel, n, tau);
-          for (int ln = 0; ln < n; ++ln) {
-            const index_t rr = p0 + ln;
-            const int x = rx0 + static_cast<int>(rr % nxr);
-            const int y = static_cast<int>((rr / nxr) % b.ny);
-            const int z = static_cast<int>(
-                rr / (nxr * static_cast<index_t>(b.ny)));
-            real_t f[L::Q];
-            for (int i = 0; i < L::Q; ++i) f[i] = panel[i][ln];
-            scatter(cellv[ln], x, y, z, f, rho_pre[ln]);
-          }
-        }
-      });
+template <class L, class ST>
+StEngine<L, ST>::StEngine(Geometry geo, real_t tau, CollisionScheme scheme,
+                          int threads_per_block, StreamMode mode,
+                          ExecMode exec)
+    // Both orderings split cleanly by x-plane: pull partitions by
+    // destination node (a plane's populations are written only by that
+    // plane's threads), push by source node with a one-plane extension
+    // (plane x is final once sources x-1..x+1 have scattered).
+    : DistEngine<L, ST>(
+          std::move(geo), tau, scheme, threads_per_block, exec,
+          mode == StreamMode::kPull
+              ? std::array<typename DistEngine<L, ST>::Flavour, 2>{{
+                    {"st.pull", 0}, {"st.pull", 0}}}
+              : std::array<typename DistEngine<L, ST>::Flavour, 2>{{
+                    {"st.push", 1}, {"st.push", 1}}}),
+      mode_(mode) {
+  if (this->sparse_ && mode_ == StreamMode::kPush) {
+    throw ConfigError(
+        "StEngine: push streaming does not support sparse geometries "
+        "(use pull, the paper's ST baseline)");
+  }
+  const auto n =
+      static_cast<std::size_t>(this->elems_) * static_cast<std::size_t>(L::Q);
+  f_[0].allocate(n, &this->prof_.counter());
+  f_[1].allocate(n, &this->prof_.counter());
+}
+
+template <class L, class ST>
+Moments<L> StEngine<L, ST>::moments_at(int x, int y, int z) const {
+  if (this->solid(x, y, z)) return solid_moments<L>();
+  const index_t cell = this->element(x, y, z);
+  real_t f[L::Q];
+  for (int i = 0; i < L::Q; ++i) {
+    f[i] = static_cast<real_t>(f_[cur_].raw(this->soa(i, cell)));
+  }
+  // Push stores the pre-collision state directly; pull stores
+  // post-collision, translated back to the shared pre-collision convention.
+  return mode_ == StreamMode::kPush ? compute_moments<L>(f)
+                                    : unrelaxed_moments<L>(f, this->tau_);
+}
+
+template <class L, class ST>
+void StEngine<L, ST>::impose(int x, int y, int z, const Moments<L>& m) {
+  if (this->solid(x, y, z)) return;
+  real_t f[L::Q];
+  if (mode_ == StreamMode::kPush) {
+    // Pre-collision storage: the exact population with these moments.
+    populations_of<L>(m, real_t(1), /*recursive=*/false, f);
+  } else {
+    // Pull: store the post-collision image of the imposed pre-collision
+    // state so the next step streams exactly what the push-style engines
+    // stream.
+    populations_of<L>(m, real_t(1) - real_t(1) / this->tau_,
+                      this->scheme_ == CollisionScheme::kRecursive, f);
+  }
+  const index_t cell = this->element(x, y, z);
+  for (int i = 0; i < L::Q; ++i) {
+    f_[cur_].raw(this->soa(i, cell)) = static_cast<ST>(f[i]);
+  }
+}
+
+template <class L, class ST>
+std::size_t StEngine<L, ST>::state_bytes() const {
+  return f_[0].size_bytes() + f_[1].size_bytes() +
+         (this->sparse_ ? this->tdev_.bytes() : 0);
+}
+
+template <class L, class ST>
+void StEngine<L, ST>::step_nodes(
+    const FrontierSpec* fs,
+    const typename Engine<L>::FrontierDoneFn& on_frontier) {
+  const NodeBase<L> base = this->node_base(batched_io_);
+  if (mode_ == StreamMode::kPull) {
+    this->run_step(0, PullNode{base, &f_[cur_], &f_[1 - cur_]}, fs,
+                   on_frontier);
+  } else {
+    this->run_step(0, PushNode{base, &f_[cur_], &f_[1 - cur_]}, fs,
+                   on_frontier);
+  }
+  cur_ = 1 - cur_;
 }
 
 template class StEngine<D2Q9, double>;

@@ -21,24 +21,17 @@
 // ST = real_t the engine is bit-identical to the pre-policy implementation,
 // and with ST = float it moves exactly half the counted bytes.
 //
-// Sparse geometries (Geometry::sparse()): the lattices are tile-compressed
-// (tile_kernels.hpp) — element slot*64+local instead of the box cell — and
-// each step issues two launches, one over the all-fluid tile list (dense
-// fast path) and one over the mixed tiles (occupancy-masked), so the
-// profiler attributes traffic per tile class. The sparse path is pull-only
-// (push + sparse throws ConfigError) and always runs the scalar kernel
-// body: lane batching would re-pack panels across tile boundaries for no
-// modelled gain, so ExecMode::kLanes falls back to scalar here (results are
-// bit-identical between the modes by construction, so the fallback is
-// unobservable in fields). A dense geometry takes the pre-existing path
-// bit-identically, fields and traffic counters.
+// Each ordering is one node body (a gather and a scatter) run by the shared
+// launch skeleton (dist_launch.hpp) over dense plane ranges, in scalar or
+// lane-panel form, and over sparse tile lists. Sparse geometries keep the
+// lattices tile-compressed (tile_kernels.hpp) — element slot*64+local
+// instead of the box cell — and launch the all-fluid and the mixed tiles
+// separately, so the profiler attributes traffic per tile class. The sparse
+// path is pull-only (push + sparse throws ConfigError) and runs the scalar
+// driver in both execution modes (bit-identical by construction).
 #pragma once
 
-#include "core/collision.hpp"
-#include "engines/engine.hpp"
-#include "engines/tile_kernels.hpp"
-#include "gpusim/global_array.hpp"
-#include "gpusim/profiler.hpp"
+#include "engines/dist_launch.hpp"
 
 namespace mlbm {
 
@@ -48,10 +41,8 @@ enum class StreamMode {
 };
 
 template <class L, class ST = real_t>
-class StEngine final : public Engine<L> {
+class StEngine final : public DistEngine<L, ST> {
  public:
-  using StorageT = ST;
-
   /// `threads_per_block` is the 1D block size of the fused kernel. `exec`
   /// selects the scalar or lane-batched kernel body (bit-identical results,
   /// identical traffic; see core/lanes.hpp).
@@ -63,18 +54,9 @@ class StEngine final : public Engine<L> {
   [[nodiscard]] const char* pattern_name() const override {
     return mode_ == StreamMode::kPull ? "ST" : "ST-push";
   }
-  void initialize(const typename Engine<L>::InitFn& init) override;
   [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
   void impose(int x, int y, int z, const Moments<L>& m) override;
   [[nodiscard]] std::size_t state_bytes() const override;
-  [[nodiscard]] StoragePrecision storage_precision() const override {
-    return precision_of_v<ST>;
-  }
-
-  [[nodiscard]] gpusim::Profiler* profiler() override { return &prof_; }
-  [[nodiscard]] const gpusim::Profiler* profiler() const override {
-    return &prof_;
-  }
 
   /// Declared kernel accesses: Q upwind gathers + one span store (pull), or
   /// one span load + Q downwind scatters (push), between the two lattices.
@@ -83,16 +65,8 @@ class StEngine final : public Engine<L> {
                                  mode_ == StreamMode::kPush, batched_io_);
   }
 
-  /// Both orderings split cleanly by x-plane: pull partitions by destination
-  /// node (a plane's populations are written only by that plane's threads),
-  /// push by source node with a one-plane interior extension (plane x is
-  /// final once sources x-1..x+1 have scattered).
-  [[nodiscard]] bool supports_frontier_split() const override { return true; }
-
-  [[nodiscard]] CollisionScheme scheme() const { return scheme_; }
-  [[nodiscard]] int threads_per_block() const { return threads_per_block_; }
+  [[nodiscard]] CollisionScheme scheme() const { return this->scheme_; }
   [[nodiscard]] StreamMode stream_mode() const { return mode_; }
-  [[nodiscard]] ExecMode exec_mode() const { return exec_; }
 
   /// Validation hook: route per-node population I/O through scalar
   /// load/store instead of batched spans. Byte counts are identical either
@@ -106,10 +80,10 @@ class StEngine final : public Engine<L> {
   /// source of step t was fully written at step t-1 or host-imposed since),
   /// so both opt into the staleness check.
   void set_sanitizer(gpusim::SanitizerHook* san) override {
-    prof_.set_sanitizer_hook(san);
+    this->prof_.set_sanitizer_hook(san);
     f_[0].set_sanitizer(san, "f0", /*sliding_window=*/true);
     f_[1].set_sanitizer(san, "f1", /*sliding_window=*/true);
-    if (sparse_) tdev_.set_sanitizer(san);
+    if (this->sparse_) this->tdev_.set_sanitizer(san);
   }
 
   void set_unique_read_tracking(bool on) override {
@@ -143,16 +117,7 @@ class StEngine final : public Engine<L> {
   /// scratch for the next fused kernel, so serializing the write side would
   /// snapshot garbage and restoring it would be wasted work.
   [[nodiscard]] std::string raw_state_tag() const override {
-    const Box& b = this->geo_.box;
-    std::string tag = std::string(pattern_name()) + "|" +
-                      std::to_string(b.nx) + "x" + std::to_string(b.ny) +
-                      "x" + std::to_string(b.nz);
-    if (sparse_) {
-      // Compressed-element order depends on the flag field; restores must
-      // come from the identical geometry.
-      tag += "|sparse:" + std::to_string(this->geo_.hash());
-    }
-    return tag;
+    return this->layout_tag("|");
   }
   void serialize_raw_state(std::vector<real_t>& out) const override {
     const auto& f = f_[cur_];
@@ -171,62 +136,18 @@ class StEngine final : public Engine<L> {
   }
 
  protected:
-  void do_step() override;
-  void do_step_split(const FrontierSpec& fs,
-                     const typename Engine<L>::FrontierDoneFn& on_frontier)
+  void step_nodes(const FrontierSpec* fs,
+                  const typename Engine<L>::FrontierDoneFn& on_frontier)
       override;
 
  private:
-  [[nodiscard]] index_t soa(int i, index_t elem) const {
-    return static_cast<index_t>(i) * elems_ + elem;
-  }
-  /// Element index of node (x, y, z) in the f lattices: the box cell when
-  /// dense, the tile-compressed slot*64+local when sparse (-1 for nodes in
-  /// unallocated all-solid tiles).
-  [[nodiscard]] index_t element(int x, int y, int z) const {
-    return sparse_ ? this->geo_.tiles().element(x, y, z)
-                   : this->geo_.box.idx(x, y, z);
-  }
-  /// Uncounted population write into the current lattice (host-side setup).
-  void impose_population(int x, int y, int z, const real_t (&f)[L::Q]);
+  struct PullNode;
+  struct PushNode;
 
-  void ensure_records();
-  /// One fused-kernel launch covering source/destination planes [rx0, rx1).
-  /// The full range (0, nx) reproduces the monolithic step bit-for-bit: the
-  /// range remap r -> (x, y, z) degenerates to the flat cell index.
-  void step_pull(int rx0, int rx1, gpusim::KernelRecord& rec);
-  void step_push(int rx0, int rx1, gpusim::KernelRecord& rec);
-  /// Sparse launch over tile-list entries [begin, begin + count): one thread
-  /// per tile, 64 locals swept inside. `masks` is null for the all-fluid
-  /// list. Pull-only.
-  void step_pull_tiles(const gpusim::GlobalArray<std::int32_t>& list,
-                       const gpusim::GlobalArray<std::uint64_t>* masks,
-                       int begin, int count, gpusim::KernelRecord& rec);
-  void step_sparse(int fl, int fr, bool frontier_only,
-                   const typename Engine<L>::FrontierDoneFn& on_frontier);
-
-  CollisionScheme scheme_;
-  int threads_per_block_;
   StreamMode mode_;
-  ExecMode exec_;
-  gpusim::Profiler prof_;
   gpusim::GlobalArray<ST> f_[2];
   int cur_ = 0;
   bool batched_io_ = true;
-  /// Elements per direction: box cells (dense) or tile slots * 64 (sparse).
-  index_t elems_ = 0;
-  bool sparse_ = false;
-  TileIndexDev tdev_;
-  /// Cached kernel records (one kernel per engine: mode is fixed), so
-  /// steady-state stepping does no string lookup. Frontier launches of a
-  /// split step record separately so overlap traffic stays attributable.
-  /// Sparse steps record the all-fluid and mixed tile launches separately
-  /// (per-tile-class traffic attribution); krec_ then names the fluid-tile
-  /// kernel and krec_mixed_ the masked one.
-  gpusim::KernelRecord* krec_ = nullptr;
-  gpusim::KernelRecord* krec_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_mixed_frontier_ = nullptr;
 };
 
 extern template class StEngine<D2Q9, double>;

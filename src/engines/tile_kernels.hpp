@@ -1,4 +1,5 @@
-// Device-side tile index shared by the sparse ST and AA kernels.
+// Device-side tile index of the sparse distribution-engine launches (the
+// tile driver of dist_launch.hpp).
 //
 // The sparse engines map one simulated thread to one *tile* (the analogue of
 // a thread block owning a tile on a real GPU): the thread loads the tile's

@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "util/error.hpp"
 
@@ -139,6 +141,16 @@ void Cli::reject_unknown(const std::vector<std::string>& extra) const {
   throw ConfigError("Cli: unknown option(s) " + unknown +
                     (options.empty() ? std::string()
                                      : "; valid option(s): " + options));
+}
+
+int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", argc > 0 ? argv[0] : "mlbm",
+                 e.what());
+    return 2;
+  }
 }
 
 }  // namespace mlbm

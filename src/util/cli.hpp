@@ -60,4 +60,10 @@ class Cli {
   mutable std::set<std::string> queried_;
 };
 
+/// Top-level guard for a program's main(): returns `body(argc, argv)`, and
+/// turns an exception escaping it — a bad flag's ConfigError, or any other
+/// error — into one `prog: error: ...` line on stderr and exit code 2
+/// instead of std::terminate.
+int guarded_main(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace mlbm

@@ -10,6 +10,7 @@
 
 #include "analysis/sanitizer/sanitizer.hpp"
 #include "engines/aa_engine.hpp"
+#include "engines/ep_engine.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/reference_engine.hpp"
 #include "engines/st_engine.hpp"
@@ -426,6 +427,18 @@ TEST(SparseSplitStep, StPorousBitIdenticalD2Q9) {
 }
 TEST(SparseSplitStep, StPorousBitIdenticalD3Q19) {
   split_step_is_bit_identical_sparse<D3Q19, StEngine>();
+}
+TEST(SparseSplitStep, AaPorousBitIdenticalD2Q9) {
+  split_step_is_bit_identical_sparse<D2Q9, AaEngine>();
+}
+TEST(SparseSplitStep, AaPorousBitIdenticalD3Q19) {
+  split_step_is_bit_identical_sparse<D3Q19, AaEngine>();
+}
+TEST(SparseSplitStep, EpPorousBitIdenticalD2Q9) {
+  split_step_is_bit_identical_sparse<D2Q9, EpEngine>();
+}
+TEST(SparseSplitStep, EpPorousBitIdenticalD3Q19) {
+  split_step_is_bit_identical_sparse<D3Q19, EpEngine>();
 }
 TEST(SparseSplitStep, MrPorousBitIdenticalD2Q9) {
   const Geometry geo = porous_geo<D2Q9>(24, 0.25, 42);

@@ -24,6 +24,8 @@
 #include "engines/aa_engine.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
+#include "geometry/shapes.hpp"
+#include "workloads/cavity.hpp"
 #include "workloads/taylor_green.hpp"
 
 namespace mlbm {
@@ -175,9 +177,9 @@ TEST(TrafficInvariance, MrCircularShift3DBatchesByM) {
 // transactions — lane batching changes neither the addresses touched nor
 // how they are grouped into spans).
 
-template <class L>
+template <class L, class Workload>
 void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes,
-                           const TaylorGreen<L>& tg, int steps) {
+                           const Workload& tg, int steps) {
   ASSERT_EQ(scalar.pattern_name(), lanes.pattern_name());
   tg.attach(scalar);
   tg.attach(lanes);
@@ -190,10 +192,14 @@ void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes,
   expect_fields_identical<L>(scalar, lanes);
 }
 
-template <class L, class ST>
-void exec_invariance_matrix(const TaylorGreen<L>& tg, int steps) {
+/// The distribution engines (ST pull, ST push unless the geometry is sparse,
+/// AA) on one workload.
+template <class L, class ST, class Workload>
+void dist_exec_invariance(const Workload& tg, int steps) {
   const real_t tau = 0.8;
   for (const StreamMode mode : {StreamMode::kPull, StreamMode::kPush}) {
+    // Push streaming rejects sparse geometries (any solid node).
+    if (mode == StreamMode::kPush && tg.geo.sparse()) continue;
     StEngine<L, ST> scalar(tg.geo, tau, CollisionScheme::kRecursive, 64, mode,
                            ExecMode::kScalar);
     StEngine<L, ST> lanes(tg.geo, tau, CollisionScheme::kRecursive, 64, mode,
@@ -209,6 +215,12 @@ void exec_invariance_matrix(const TaylorGreen<L>& tg, int steps) {
     // in-place gather/scatter odd flavour.
     expect_exec_invariant<L>(scalar, lanes, tg, steps + (steps % 2));
   }
+}
+
+template <class L, class ST>
+void exec_invariance_matrix(const TaylorGreen<L>& tg, int steps) {
+  const real_t tau = 0.8;
+  dist_exec_invariance<L, ST>(tg, steps);
   const MrConfig cfg =
       (L::D == 2) ? MrConfig{8, 1, 2} : MrConfig{4, 4, 1};
   MrConfig circ = cfg;
@@ -244,6 +256,56 @@ TEST(ExecInvariance, D3Q19Fp64LanesMatchScalarBitExact) {
 TEST(ExecInvariance, D3Q19Fp32LanesMatchScalarBitExact) {
   exec_invariance_matrix<D3Q19, float>(
       TaylorGreen<D3Q19>::create(8, 0.03, 8), 3);
+}
+
+// Walls, a moving lid and solid obstacles: the bounce-back and moving-wall
+// branches of every node body must also run identically in both modes.
+template <class L>
+struct ObstacleChannel {
+  Geometry geo;
+
+  /// Walled channel (y walls, periodic x and z) around a cylinder or
+  /// sphere. Any solid makes the geometry sparse, so the lanes engine runs
+  /// the tile driver exactly like the scalar one.
+  static ObstacleChannel create(int n) {
+    Geometry geo(Box{2 * n, n, L::D == 3 ? n : 1});
+    geo.bc.set_axis(1, FaceBC::kWall);
+    if constexpr (L::D == 3) {
+      shapes::add_sphere(geo, real_t(n) / 2, real_t(n) / 2, real_t(n) / 2,
+                         real_t(n) / 5);
+    } else {
+      shapes::add_cylinder(geo, real_t(n) / 2, real_t(n) / 2, real_t(n) / 5);
+    }
+    return {std::move(geo)};
+  }
+  void attach(Engine<L>& eng) const {
+    eng.initialize([](int, int y, int) {
+      std::array<real_t, L::D> u{};
+      u[0] = real_t(0.02) + real_t(0.001) * y;
+      return equilibrium_moments<L>(real_t(1), u);
+    });
+  }
+};
+
+TEST(ExecInvariance, D2Q9CavityLanesMatchScalarBitExact) {
+  dist_exec_invariance<D2Q9, double>(LidDrivenCavity<D2Q9>::create(16, 0.05),
+                                     5);
+  dist_exec_invariance<D2Q9, float>(LidDrivenCavity<D2Q9>::create(16, 0.05),
+                                    5);
+}
+
+TEST(ExecInvariance, D3Q19CavityLanesMatchScalarBitExact) {
+  dist_exec_invariance<D3Q19, double>(LidDrivenCavity<D3Q19>::create(8, 0.05),
+                                      3);
+}
+
+TEST(ExecInvariance, D2Q9ObstacleLanesMatchScalarBitExact) {
+  dist_exec_invariance<D2Q9, double>(ObstacleChannel<D2Q9>::create(16), 5);
+  dist_exec_invariance<D2Q9, float>(ObstacleChannel<D2Q9>::create(16), 5);
+}
+
+TEST(ExecInvariance, D3Q19ObstacleLanesMatchScalarBitExact) {
+  dist_exec_invariance<D3Q19, double>(ObstacleChannel<D3Q19>::create(8), 3);
 }
 
 // Odd domain extents force partially-filled panels on every row; the ragged
