@@ -26,6 +26,7 @@
 #include "engines/st_engine.hpp"
 #include "geometry/shapes.hpp"
 #include "workloads/cavity.hpp"
+#include "workloads/porous_plug.hpp"
 #include "workloads/taylor_green.hpp"
 
 namespace mlbm {
@@ -192,8 +193,18 @@ void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes,
   expect_fields_identical<L>(scalar, lanes);
 }
 
+/// True when any domain face is an inlet/outlet plane.
+bool has_open_face(const Geometry& geo) {
+  for (const auto& axis : geo.bc.face) {
+    for (const FaceSpec& f : axis) {
+      if (f.type == FaceBC::kOpen) return true;
+    }
+  }
+  return false;
+}
+
 /// The distribution engines (ST pull, ST push unless the geometry is sparse,
-/// AA) on one workload.
+/// AA unless a face is open) on one workload.
 template <class L, class ST, class Workload>
 void dist_exec_invariance(const Workload& tg, int steps) {
   const real_t tau = 0.8;
@@ -206,6 +217,9 @@ void dist_exec_invariance(const Workload& tg, int steps) {
                           ExecMode::kLanes);
     expect_exec_invariant<L>(scalar, lanes, tg, steps);
   }
+  // AA rejects inlet/outlet faces (its mid-cycle state cannot take the
+  // post-step boundary pass).
+  if (has_open_face(tg.geo)) return;
   {
     AaEngine<L, ST> scalar(tg.geo, tau, CollisionScheme::kProjective, 64,
                            ExecMode::kScalar);
@@ -217,27 +231,28 @@ void dist_exec_invariance(const Workload& tg, int steps) {
   }
 }
 
-template <class L, class ST>
-void exec_invariance_matrix(const TaylorGreen<L>& tg, int steps) {
+/// MR-P and MR-R, ping-pong and circular shift, on one workload.
+template <class L, class ST, class Workload>
+void mr_exec_invariance(const Workload& w, int steps) {
   const real_t tau = 0.8;
-  dist_exec_invariance<L, ST>(tg, steps);
   const MrConfig cfg =
       (L::D == 2) ? MrConfig{8, 1, 2} : MrConfig{4, 4, 1};
   MrConfig circ = cfg;
   circ.storage = MomentStorage::kCircularShift;
   for (const Regularization reg :
        {Regularization::kProjective, Regularization::kRecursive}) {
-    {
-      MrEngine<L, ST> scalar(tg.geo, tau, reg, cfg, ExecMode::kScalar);
-      MrEngine<L, ST> lanes(tg.geo, tau, reg, cfg, ExecMode::kLanes);
-      expect_exec_invariant<L>(scalar, lanes, tg, steps);
-    }
-    {
-      MrEngine<L, ST> scalar(tg.geo, tau, reg, circ, ExecMode::kScalar);
-      MrEngine<L, ST> lanes(tg.geo, tau, reg, circ, ExecMode::kLanes);
-      expect_exec_invariant<L>(scalar, lanes, tg, steps);
+    for (const MrConfig& c : {cfg, circ}) {
+      MrEngine<L, ST> scalar(w.geo, tau, reg, c, ExecMode::kScalar);
+      MrEngine<L, ST> lanes(w.geo, tau, reg, c, ExecMode::kLanes);
+      expect_exec_invariant<L>(scalar, lanes, w, steps);
     }
   }
+}
+
+template <class L, class ST, class Workload>
+void exec_invariance_matrix(const Workload& w, int steps) {
+  dist_exec_invariance<L, ST>(w, steps);
+  mr_exec_invariance<L, ST>(w, steps);
 }
 
 TEST(ExecInvariance, D2Q9Fp64LanesMatchScalarBitExact) {
@@ -265,8 +280,9 @@ struct ObstacleChannel {
   Geometry geo;
 
   /// Walled channel (y walls, periodic x and z) around a cylinder or
-  /// sphere. Any solid makes the geometry sparse, so the lanes engine runs
-  /// the tile driver exactly like the scalar one.
+  /// sphere. Any solid makes the geometry sparse, so the distribution
+  /// engines' lanes run the tile driver exactly like the scalar one; MR keeps
+  /// its lane sweep over the compressed columns.
   static ObstacleChannel create(int n) {
     Geometry geo(Box{2 * n, n, L::D == 3 ? n : 1});
     geo.bc.set_axis(1, FaceBC::kWall);
@@ -288,24 +304,38 @@ struct ObstacleChannel {
 };
 
 TEST(ExecInvariance, D2Q9CavityLanesMatchScalarBitExact) {
-  dist_exec_invariance<D2Q9, double>(LidDrivenCavity<D2Q9>::create(16, 0.05),
-                                     5);
-  dist_exec_invariance<D2Q9, float>(LidDrivenCavity<D2Q9>::create(16, 0.05),
-                                    5);
+  exec_invariance_matrix<D2Q9, double>(
+      LidDrivenCavity<D2Q9>::create(16, 0.05), 5);
+  exec_invariance_matrix<D2Q9, float>(
+      LidDrivenCavity<D2Q9>::create(16, 0.05), 5);
 }
 
 TEST(ExecInvariance, D3Q19CavityLanesMatchScalarBitExact) {
-  dist_exec_invariance<D3Q19, double>(LidDrivenCavity<D3Q19>::create(8, 0.05),
-                                      3);
+  exec_invariance_matrix<D3Q19, double>(
+      LidDrivenCavity<D3Q19>::create(8, 0.05), 3);
 }
 
 TEST(ExecInvariance, D2Q9ObstacleLanesMatchScalarBitExact) {
-  dist_exec_invariance<D2Q9, double>(ObstacleChannel<D2Q9>::create(16), 5);
-  dist_exec_invariance<D2Q9, float>(ObstacleChannel<D2Q9>::create(16), 5);
+  exec_invariance_matrix<D2Q9, double>(ObstacleChannel<D2Q9>::create(16), 5);
+  exec_invariance_matrix<D2Q9, float>(ObstacleChannel<D2Q9>::create(16), 5);
 }
 
 TEST(ExecInvariance, D3Q19ObstacleLanesMatchScalarBitExact) {
-  dist_exec_invariance<D3Q19, double>(ObstacleChannel<D3Q19>::create(8), 3);
+  exec_invariance_matrix<D3Q19, double>(ObstacleChannel<D3Q19>::create(8), 3);
+}
+
+// Inlet/outlet faces around a random solid matrix: the open-face drop, the
+// orphaned-word fill and the post-step boundary pass on a sparse geometry.
+// AA (open faces) and ST push (sparse) are skipped by the matrix.
+TEST(ExecInvariance, D2Q9PorousPlugLanesMatchScalarBitExact) {
+  const auto plug = PorousPlug<D2Q9>::create(48, 24, 1, 0.8, 0.02, 0.3, 11);
+  exec_invariance_matrix<D2Q9, double>(plug, 5);
+  exec_invariance_matrix<D2Q9, float>(plug, 5);
+}
+
+TEST(ExecInvariance, D3Q19PorousPlugLanesMatchScalarBitExact) {
+  exec_invariance_matrix<D3Q19, double>(
+      PorousPlug<D3Q19>::create(20, 10, 8, 0.8, 0.02, 0.3, 11, 3), 3);
 }
 
 // Odd domain extents force partially-filled panels on every row; the ragged
@@ -351,6 +381,20 @@ TEST(ExecInvariance, LanePathSanitizerClean) {
     expect_clean(e, 3,
                  storage == MomentStorage::kPingPong ? "MR-R ping-pong lanes"
                                                      : "MR-R circular lanes");
+  }
+  {
+    // Open faces and solids: the orphaned-word fill and the solid skips of
+    // the lane sweep.
+    const auto plug = PorousPlug<D2Q9>::create(48, 24, 1, tau, 0.02, 0.3, 11);
+    MrEngine<D2Q9> e(plug.geo, tau, Regularization::kRecursive,
+                     MrConfig{8, 1, 2}, ExecMode::kLanes);
+    analysis::Sanitizer san;
+    e.set_sanitizer(&san);
+    plug.attach(e);
+    e.run(3);
+    const analysis::SanitizerReport r = san.report();
+    EXPECT_TRUE(r.clean()) << "MR-R porous-plug lanes:\n" << r.to_string();
+    e.set_sanitizer(nullptr);
   }
 }
 
