@@ -278,7 +278,7 @@ bool write_json(const std::string& path, const std::vector<OverheadRow>& ov,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"n", "out", "ov-n", "ov-steps", "reps", "steps"});
   const int n = cli.get_int("n", 32, 1);            // fault-run grid
@@ -410,4 +410,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

@@ -161,7 +161,7 @@ bool write_json(const std::string& path, const std::vector<Row>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"out", "precision", "tg-steps"});
   const std::string prec_arg = cli.get("precision", "both");
@@ -207,4 +207,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote %s\n", out.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

@@ -93,7 +93,7 @@ bool write_json(const std::string& path, const std::vector<Row>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"out"});
   const std::string out =
@@ -148,4 +148,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote %s\n", out.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

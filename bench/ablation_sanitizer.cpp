@@ -92,7 +92,7 @@ bool write_json(const std::string& path, const std::vector<Result>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"n", "n3d", "out", "steps", "steps3d"});
   const int n = cli.get_int("n", 192, 1);
@@ -160,4 +160,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote %s\n", out.c_str());
   return hazard_seen ? 2 : 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

@@ -12,6 +12,7 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 
@@ -67,7 +68,8 @@ void compare(int nx, int ny, int nz, int steps, CsvWriter& csv) {
 
 }  // namespace
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Ablation", "MR storage policy: ping-pong vs circular shift");
   CsvWriter csv(perf::results_dir() + "/ablation_storage.csv",
                 {"lattice", "policy", "state_bytes_per_node", "read_bpn",
@@ -78,4 +80,8 @@ int main() {
       "\ncircular shift stores M doubles/node (+2 layers) instead of 2M,\n"
       "with identical traffic and bit-identical physics.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

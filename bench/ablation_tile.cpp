@@ -14,6 +14,7 @@
 #include "perfmodel/report.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
@@ -55,7 +56,8 @@ void sweep(const std::vector<MrConfig>& configs, CsvWriter& csv) {
 
 }  // namespace
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Ablation", "MR tile geometry sweep");
   CsvWriter csv(perf::results_dir() + "/ablation_tile.csv",
                 {"lattice", "tile", "threads", "shared_bytes", "halo_fraction",
@@ -76,4 +78,8 @@ int main() {
       "z_t > 1 tiles pay more shared memory for no halo benefit, matching\n"
       "the paper's observation that single-layer tiles perform best in 3D.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

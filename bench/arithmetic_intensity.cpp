@@ -12,6 +12,7 @@
 #include "perfmodel/roofline.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
@@ -40,7 +41,8 @@ void add_rows(AsciiTable& t, CsvWriter& csv) {
 
 }  // namespace
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Analysis", "Arithmetic intensity per pattern");
   AsciiTable t({"Lattice", "Pattern", "FLOPs/FLUP", "DRAM B/FLUP",
                 "AI (FLOP/B)"});
@@ -58,4 +60,8 @@ int main() {
       "retired instructions (including address math the replay omits), which\n"
       "dilutes the FLOP-only ratio.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

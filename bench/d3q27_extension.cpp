@@ -12,11 +12,13 @@
 #include "perfmodel/roofline.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Extension", "D3Q27 moment representation (future work)");
 
   const auto v100 = gpusim::DeviceSpec::v100();
@@ -82,4 +84,8 @@ int main() {
       perf::bytes_per_flup(Pattern::kST, lat) /
           perf::bytes_per_flup(Pattern::kMRP, lat));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

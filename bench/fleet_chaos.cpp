@@ -139,7 +139,7 @@ bool write_json(const std::string& path, const FleetReport& chaos,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"jobs", "steps", "seed", "overhead-factor", "smoke",
                       "out"});
@@ -223,4 +223,8 @@ int main(int argc, char** argv) {
   }
 
   return failures == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

@@ -17,7 +17,7 @@
 #include "analysis/static/verify.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace mlbm;
   Cli cli(argc, argv);
   analysis::VerifyOptions opt;
@@ -41,4 +41,8 @@ int main(int argc, char** argv) {
   }
   std::fputs("mlbm-verify: clean\n", stdout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

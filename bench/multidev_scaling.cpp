@@ -250,7 +250,7 @@ void analytic_projection() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"ncross", "out", "smoke", "steps", "strong-nx", "weak-width"});
   const bool smoke = cli.has("smoke");
@@ -418,4 +418,8 @@ int main(int argc, char** argv) {
   }
   std::printf("all checks passed\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

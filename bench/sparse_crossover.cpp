@@ -227,7 +227,7 @@ bool gate(const Series& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"n2d", "n3d", "out", "smoke", "steps"});
   const bool smoke = cli.get_bool("smoke", false);
@@ -271,4 +271,8 @@ int main(int argc, char** argv) {
       "\nsolid tiles cost no bandwidth: sparse bytes track the fluid count,\n"
       "and the dense path only wins within ~1%% of an all-fluid box.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

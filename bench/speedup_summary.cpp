@@ -8,11 +8,13 @@
 #include "perfmodel/report.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Speedups", "Saturated MFLUPS and MR-P/ST speedups");
 
   const auto v100 = gpusim::DeviceSpec::v100();
@@ -84,4 +86,8 @@ int main() {
               "MI100 D3Q19 %.0f (paper ~700)\n",
               v3.mrp - v3.mrr, m3.mrp - m3.mrr);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

@@ -8,6 +8,7 @@
 #include "perfmodel/roofline.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
@@ -90,7 +91,8 @@ Row measure_mr(Pattern p) {
 
 }  // namespace
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Table 2", "Bytes per fluid lattice update (B/F)");
 
   const Row rows[] = {
@@ -125,4 +127,8 @@ int main() {
       "column is pure re-reads, which the unique-address (ideal cache) DRAM\n"
       "model confirms. Paper values: ST 144/304, MR 96/160 (D2Q9/D3Q19).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

@@ -9,11 +9,13 @@
 #include "perfmodel/roofline.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Table 3", "Roofline MFLUPS estimates (Eq. 15)");
 
   const auto v100 = gpusim::DeviceSpec::v100();
@@ -54,4 +56,8 @@ int main() {
 
   std::printf("\npaper: ST 6250/2960/8533/4042, MR 9375/5625/12800/7680\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

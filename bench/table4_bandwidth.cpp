@@ -14,6 +14,7 @@
 #include "perfmodel/roofline.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
@@ -26,7 +27,8 @@ struct PaperBw {
 
 }  // namespace
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Table 4", "Achieved bandwidth (GB/s, % of peak)");
 
   const auto v100 = gpusim::DeviceSpec::v100();
@@ -77,4 +79,8 @@ int main() {
       "paper Table 4 values are profiler DRAM measurements, which deviate\n"
       "where L2 served part of the traffic. See EXPERIMENTS.md.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

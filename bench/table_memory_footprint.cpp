@@ -13,6 +13,7 @@
 #include "perfmodel/roofline.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 using namespace mlbm;
 using perf::Pattern;
@@ -56,7 +57,8 @@ void verify_engine_allocations(AsciiTable& t) {
 
 }  // namespace
 
-int main() {
+static int bench_main(int argc, char** argv) {
+  mlbm::Cli(argc, argv).reject_unknown();
   perf::print_banner("Memory", "Simulation-state footprint (Section 4.1)");
 
   AsciiTable meas({"Storage", "Lattice", "Domain", "allocated KiB",
@@ -120,4 +122,8 @@ int main() {
   t.print();
   std::printf("\npaper: reductions of ~35%% (2D) and ~47%% (3D) for MR.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

@@ -185,7 +185,7 @@ bool write_json(const std::string& path, const std::vector<Result>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   cli.reject_unknown({"exec", "n2d", "n3d", "out", "overlap", "precision", "repeats", "slabs", "steps2d", "steps3d"});
   g_repeats = cli.get_int("repeats", 3, 1);
@@ -282,4 +282,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote %s\n", out.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mlbm::guarded_main(argc, argv, bench_main);
 }

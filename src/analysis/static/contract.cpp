@@ -58,6 +58,12 @@ std::string node_kernel_name(const std::string& tag, const std::string& lattice,
   return frontier ? name + "_frontier" : name;
 }
 
+std::string mr_kernel_name(bool projective, const std::string& lattice,
+                           bool frontier) {
+  const std::string name = (projective ? "mr_p_" : "mr_r_") + lattice;
+  return frontier ? name + "_frontier" : name;
+}
+
 EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
                            bool batched_io) {
   EngineContract ec;
@@ -223,9 +229,8 @@ EngineContract mr_contract(LatticeDesc lat, int elem_bytes, bool projective,
 
   RingKernelContract rk;
   rk.tag = "mr.sweep";
-  const std::string base =
-      std::string(projective ? "mr_p_" : "mr_r_") + lat.name;
-  rk.kernels = {base, base + "_frontier"};
+  rk.kernels = {mr_kernel_name(projective, lat.name, false),
+                mr_kernel_name(projective, lat.name, true)};
   rk.tile_x = tile_x;
   rk.tile_y = lat.dim == 2 ? 1 : tile_y;
   rk.tile_s = tile_s;

@@ -160,6 +160,13 @@ enum class TileClass { kDense, kFluid, kMixed };
 std::string node_kernel_name(const std::string& tag, const std::string& lattice,
                              TileClass cls, bool frontier);
 
+/// Profiler record name of the MR column sweep on `lattice` ("mr_p_<lattice>"
+/// for the projective scheme, "mr_r_<lattice>" for the recursive one);
+/// `frontier` names the frontier launches of a split step. MrEngine registers
+/// its records through it and mr_contract lists its kernels through it.
+std::string mr_kernel_name(bool projective, const std::string& lattice,
+                           bool frontier);
+
 // ---- canonical contract builders ------------------------------------------
 // Shared by the engine access_contract() overrides and by mlbm-verify's
 // mutation harness (which edits the result). `batched_io` mirrors the

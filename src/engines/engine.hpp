@@ -1,17 +1,24 @@
 // Common interface of all propagation-pattern engines.
 //
 // Engines own the simulation state of one lattice Boltzmann run and advance
-// it by whole timesteps. Three implementations exist, mirroring the paper's
-// propagation patterns:
+// it by whole timesteps. Five implementations sit behind this interface,
+// mirroring the paper's propagation patterns plus two in-place baselines:
 //
-//   ReferenceEngine — plain host two-lattice pull; ground truth for physics
-//                     and for the MR engines' equivalence tests.
+//   ReferenceEngine — plain host two-lattice push (pre-collision state,
+//                     collide on read); ground truth for physics and for the
+//                     MR engines' equivalence tests.
 //   StEngine        — Algorithm 1 (standard distribution representation,
-//                     pull) on the gpusim execution model, with counted
-//                     global-memory traffic.
+//                     pull or push) on the gpusim execution model, with
+//                     counted global-memory traffic.
+//   AaEngine        — in-place AA pattern over one distribution lattice
+//                     (even/odd step flavours).
+//   EpEngine        — in-place Esoteric-Pull pattern over one distribution
+//                     lattice (paired-direction even/odd addressing).
 //   MrEngine        — Algorithm 2 (moment representation with shared-memory
-//                     streaming and a sliding window), projective or
-//                     recursive regularization.
+//                     streaming and a sliding window), projective (MR-P) or
+//                     recursive (MR-R) regularization.
+//
+// ST, AA and EP share one launch skeleton (dist_launch.hpp).
 //
 // The interface is deliberately moment-centric: `moments_at`/`impose`
 // exchange the *full* hydrodynamic state {rho, u, Pi}, which every

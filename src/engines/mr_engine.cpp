@@ -2,7 +2,7 @@
 
 #include "util/error.hpp"
 
-#include <cassert>
+#include <array>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -10,6 +10,7 @@
 
 #include "core/collision.hpp"
 #include "core/lanes.hpp"
+#include "engines/streaming.hpp"
 #include "gpusim/launch.hpp"
 
 namespace mlbm {
@@ -20,6 +21,15 @@ namespace {
 template <class L>
 constexpr int c_sweep(int i) {
   return L::c[static_cast<std::size_t>(i)][L::D == 2 ? 1 : 2];
+}
+
+/// Flat element of moment `m` of compressed column `col` at physical sweep
+/// layer `sp`, in a lattice of `layers` sweep layers by `ncols` columns
+/// (component-major, then layer, then column). The host-side midx and the
+/// kernel's moment I/O both address through it.
+constexpr index_t moment_addr(int m, int sp, index_t col, index_t layers,
+                              index_t ncols) {
+  return (static_cast<index_t>(m) * layers + sp) * ncols + col;
 }
 
 }  // namespace
@@ -67,13 +77,7 @@ MrEngine<L, ST>::MrEngine(Geometry geo, real_t tau, Regularization scheme,
   } else {
     ncols_ = static_cast<index_t>(ncx0 * ncx1);
   }
-  const auto s_layers =
-      static_cast<std::size_t>(config_.storage == MomentStorage::kPingPong
-                                   ? sweep_extent()
-                                   : sweep_extent() + 2);
-  const std::size_t n =
-      static_cast<std::size_t>(M) * static_cast<std::size_t>(ncols_) *
-      s_layers;
+  const auto n = static_cast<std::size_t>(M * moment_layers() * ncols_);
   mom_[0].allocate(n, &prof_.counter());
   if (config_.storage == MomentStorage::kPingPong) {
     mom_[1].allocate(n, &prof_.counter());
@@ -83,6 +87,12 @@ MrEngine<L, ST>::MrEngine(Geometry geo, real_t tau, Regularization scheme,
 template <class L, class ST>
 int MrEngine<L, ST>::sweep_extent() const {
   return L::D == 2 ? this->geo_.box.ny : this->geo_.box.nz;
+}
+
+template <class L, class ST>
+index_t MrEngine<L, ST>::moment_layers() const {
+  return config_.storage == MomentStorage::kPingPong ? sweep_extent()
+                                                     : sweep_extent() + 2;
 }
 
 template <class L, class ST>
@@ -103,11 +113,7 @@ index_t MrEngine<L, ST>::col_of(int cx0, int cx1) const {
 
 template <class L, class ST>
 index_t MrEngine<L, ST>::midx(int m, int cx0, int cx1, int sp) const {
-  const index_t layers = config_.storage == MomentStorage::kPingPong
-                             ? sweep_extent()
-                             : sweep_extent() + 2;
-  return (static_cast<index_t>(m) * layers + sp) * ncols_ +
-         col_of(cx0, cx1);
+  return moment_addr(m, sp, col_of(cx0, cx1), moment_layers(), ncols_);
 }
 
 template <class L, class ST>
@@ -217,32 +223,22 @@ int MrEngine<L, ST>::tiles_x() const {
 }
 
 template <class L, class ST>
-void MrEngine<L, ST>::ensure_records() {
-  if (krec_ == nullptr) {
-    const std::string base =
-        std::string(scheme_ == Regularization::kProjective ? "mr_p_"
-                                                           : "mr_r_") +
-        L::name();
-    krec_ = &prof_.record(base);
-    krec_->contract = "mr.sweep";
+gpusim::KernelRecord& MrEngine<L, ST>::record(bool frontier) {
+  // The frontier record is registered on the first split step only, so
+  // engines that never split keep a single kernel record (the profiler
+  // reports registered kernels even before their first launch).
+  gpusim::KernelRecord*& r = frontier ? krec_frontier_ : krec_;
+  if (r == nullptr) {
+    r = &prof_.record(analysis::mr_kernel_name(
+        scheme_ == Regularization::kProjective, L::name(), frontier));
+    r->contract = "mr.sweep";
   }
-}
-
-// Registered separately from ensure_records() so engines that never take a
-// split step keep a single kernel record (the profiler reports registered
-// kernels even before their first launch).
-template <class L, class ST>
-void MrEngine<L, ST>::ensure_frontier_record() {
-  if (krec_frontier_ == nullptr) {
-    krec_frontier_ = &prof_.record(std::string(krec_->name) + "_frontier");
-    krec_frontier_->contract = "mr.sweep";
-  }
+  return *r;
 }
 
 template <class L, class ST>
 void MrEngine<L, ST>::do_step() {
-  ensure_records();
-  step_tiles(0, tiles_x(), *krec_);
+  step_tiles(0, tiles_x(), record(false));
   if (config_.storage == MomentStorage::kPingPong) cur_ = 1 - cur_;
 }
 
@@ -250,7 +246,7 @@ template <class L, class ST>
 void MrEngine<L, ST>::do_step_split(
     const FrontierSpec& fs,
     const typename Engine<L>::FrontierDoneFn& on_frontier) {
-  ensure_records();
+  gpusim::KernelRecord& rec = record(false);
   const bool ping_pong = config_.storage == MomentStorage::kPingPong;
   const int ncx0 = this->geo_.box.nx;
   const int tx = std::min(config_.tile_x, ncx0);
@@ -262,15 +258,15 @@ void MrEngine<L, ST>::do_step_split(
   const int lt = fs.left > 0 ? (fs.left + tx - 1) / tx : 0;
   const int rt = fs.right > 0 ? (fs.right + tx - 1) / tx : 0;
   if (!ping_pong || fs.empty() || lt + rt >= nc0) {
-    step_tiles(0, nc0, *krec_);
+    step_tiles(0, nc0, rec);
     if (on_frontier) on_frontier();
   } else {
-    ensure_frontier_record();
+    gpusim::KernelRecord& frec = record(true);
     gpusim::LaunchGroup group(prof_);
-    if (lt > 0) step_tiles(0, lt, *krec_frontier_);
-    if (rt > 0) step_tiles(nc0 - rt, rt, *krec_frontier_);
+    if (lt > 0) step_tiles(0, lt, frec);
+    if (rt > 0) step_tiles(nc0 - rt, rt, frec);
     if (on_frontier) on_frontier();
-    step_tiles(lt, nc0 - lt - rt, *krec_);
+    step_tiles(lt, nc0 - lt - rt, rec);
   }
   if (ping_pong) cur_ = 1 - cur_;
 }
@@ -280,11 +276,9 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
                                  gpusim::KernelRecord& rec) {
   const Box& b = this->geo_.box;
   const Geometry& geo = this->geo_;
-  const real_t tau = this->tau_;
   const real_t inv_cs2 = real_t(1) / L::cs2;
-  const real_t relax = real_t(1) - real_t(1) / tau;
+  const real_t relax = real_t(1) - real_t(1) / this->tau_;
   const long long tt = this->t_;
-  const Regularization scheme = scheme_;
   const bool ping_pong = config_.storage == MomentStorage::kPingPong;
 
   const int ncx0 = b.nx;
@@ -315,6 +309,17 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
       return geo.solid(cx0, cx1, s);
     }
   };
+  /// The link that streams population `i` out of node (hx, hy, s):
+  /// interior (periodic axes wrapped), bounce (wall face or solid
+  /// neighbour) or dropped (open face, which wins over a wall corner) —
+  /// the classification every push-style engine shares.
+  const auto link = [&](int hx, int hy, int s, int i) MLBM_FLATTEN {
+    if constexpr (L::D == 2) {
+      return resolve_stream<L>(geo, hx, s, 0, i);
+    } else {
+      return resolve_stream<L>(geo, hx, hy, s, i);
+    }
+  };
 
   const gpusim::GlobalArray<ST>& rbuf = mom_[ping_pong ? cur_ : 0];
   gpusim::GlobalArray<ST>& wbuf = mom_[ping_pong ? 1 - cur_ : 0];
@@ -342,20 +347,39 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
                                    mutation_.ring_shift_bias;
   const bool skip_phase_sync = mutation_.skip_phase_sync;
   const bool shrink_halo = mutation_.shrink_cross_halo;
-  // Element stride between consecutive moment components of one node
-  // (midx(m+1,...) - midx(m,...)); the per-node moment vector is one
-  // batched span of M elements at this stride. `ncols` is the full
-  // cross-section when dense, so the dense addresses are unchanged.
+
+  // Moment I/O: a node's M moments are one batched span at the stride
+  // between consecutive moment components, or M scalar accesses under the
+  // validation hook (same bytes, M times the transactions). `ncols` is the
+  // full cross-section when dense, so the dense addresses are the flat ones.
   const index_t ncols = ncols_;
-  const index_t layers_n = static_cast<index_t>(ping_pong ? S : S + 2);
+  const index_t layers_n = moment_layers();
   const index_t mstride = layers_n * ncols;
-  /// Flat element of moment `m` of the node with compressed column id `col`
-  /// at physical layer `sp` — the kernel-side midx, taking the column id
-  /// from the block's counted stash instead of the host map.
-  const auto gaddr = [&](int m, index_t col, int sp) {
-    return (static_cast<index_t>(m) * layers_n + sp) * ncols + col;
-  };
   const bool batched = batched_io_;
+  const auto load_moments = [&](index_t col, int sp,
+                                real_t (&mom)[M]) MLBM_ALWAYS_INLINE {
+    if (batched) {
+      rbuf.template load_span_as<real_t>(
+          moment_addr(0, sp, col, layers_n, ncols), mstride, M, mom);
+    } else {
+      for (int m = 0; m < M; ++m) {
+        mom[m] = rbuf.template load_as<real_t>(
+            moment_addr(m, sp, col, layers_n, ncols));
+      }
+    }
+  };
+  const auto store_moments = [&](index_t col, int sp,
+                                 const real_t (&vals)[M]) MLBM_ALWAYS_INLINE {
+    if (batched) {
+      wbuf.template store_span_as<real_t>(
+          moment_addr(0, sp, col, layers_n, ncols), mstride, M, vals);
+    } else {
+      for (int m = 0; m < M; ++m) {
+        wbuf.template store_as<real_t>(
+            moment_addr(m, sp, col, layers_n, ncols), vals[m]);
+      }
+    }
+  };
   // Lane-batched kernel bodies are selected per phase invocation (a
   // per-level branch — negligible against the per-node work it gates).
   const bool lanes = exec_ == ExecMode::kLanes;
@@ -442,174 +466,137 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
     return st;
   };
 
-  // Ring addressing: slot (s+1) mod (tile_s + 2) holds layer s while the
-  // sliding window covers it. The hot phase-A/phase-B loops below hoist the
-  // modulo and the node arithmetic out of the per-population loop; these
-  // helpers serve the cold (periodic-edge) paths.
-  auto slot_base = [&](ColState& st, int s) -> std::size_t {
-    return static_cast<std::size_t>((s + 1) % ring_w) * st.slot_stride;
+  // ---- Shared-word routing: where population i of a node at layer s
+  // lives while the column holds it. Slot (s+1) mod (tile_s + 2) of the ring
+  // holds layer s while the sliding window covers it. On a periodic sweep
+  // axis the wrap-crossing populations of the edge layers — downward into
+  // S-1, upward into 0 — live in the stashes instead: phase B reads them
+  // after those ring words are recycled. Bases are indexed by
+  // c_sweep(i) + 1; `word` adds the node's Q-block and the population.
+  using Words = std::array<real_t*, 3>;
+  const auto layer_words = [&](ColState& st, int s) -> Words {
+    real_t* const slot =
+        st.ring.data() +
+        static_cast<std::size_t>((s + 1) % ring_w) * st.slot_stride;
+    Words w{slot, slot, slot};
+    if (sweep_periodic && s == S - 1) w[0] = st.stash_lo.data();
+    if (sweep_periodic && s == 0) w[2] = st.stash_hi.data();
+    return w;
   };
-  // Cross-section node index of (cx0, cx1) inside the column.
-  auto cross_of = [&](ColState& st, int cx0, int cx1) -> std::size_t {
-    return static_cast<std::size_t>(cx1 - st.y0) *
-               static_cast<std::size_t>(st.cax) +
-           static_cast<std::size_t>(cx0 - st.x0);
+  const auto word = [](const Words& w, std::size_t node,
+                       int i) MLBM_ALWAYS_INLINE -> real_t* {
+    return w[static_cast<std::size_t>(c_sweep<L>(i) + 1)] + node * L::Q +
+           static_cast<std::size_t>(i);
   };
-  auto ring_at = [&](ColState& st, int s, int cx0, int cx1,
-                     int i) -> real_t& {
-    return st.ring[slot_base(st, s) + cross_of(st, cx0, cx1) * L::Q +
-                   static_cast<std::size_t>(i)];
+  // Words phase A writes from source layer s: `own` takes bounces back into
+  // layer s itself, `dst` streams into layer s + c_sweep(i) (wrapped on a
+  // periodic sweep axis) — one routing lookup per layer, not per population.
+  struct Route {
+    Words own;
+    Words dst;
   };
-  auto stash_at = [&](std::span<real_t> stash, ColState& st, int cx0, int cx1,
-                      int i) -> real_t& {
-    return stash[cross_of(st, cx0, cx1) * L::Q + static_cast<std::size_t>(i)];
+  const auto route_from = [&](ColState& st, int s) {
+    Route r;
+    r.own = layer_words(st, s);
+    const int lo = (sweep_periodic && s == 0) ? S - 1 : s - 1;
+    const int hi = (sweep_periodic && s == S - 1) ? 0 : s + 1;
+    r.dst = {layer_words(st, lo)[0], r.own[1], layer_words(st, hi)[2]};
+    return r;
   };
 
   // Streams the Q reconstructed populations `fv` of one phase-A source node
-  // into the shared ring (Algorithm 2, lines 29-33). Shared verbatim by the
-  // scalar and lane node drivers — the scatter is per-node either way, so
-  // both modes issue identical shared-memory writes.
+  // into the shared ring (Algorithm 2, lines 29-33). Shared by the scalar
+  // and lane bodies — the scatter is per-node either way, so both modes
+  // issue identical shared-memory writes.
   auto scatter_source = [&](auto sanc, gpusim::BlockCtx& blk, ColState& st,
-                            const std::size_t (&dst_base)[3], int s, int hx,
-                            int hy, long long cross_src, int tid_a,
-                            real_t rho, const real_t (&fv)[L::Q]) MLBM_ALWAYS_INLINE {
+                            const Route& rt, int s, int hx, int hy,
+                            real_t rho,
+                            const real_t (&fv)[L::Q]) MLBM_ALWAYS_INLINE {
     constexpr bool kSan = decltype(sanc)::value;
+    // Signed cross-section index of the source node; halo sources sit
+    // outside [0, cross), but every use below is offset to an in-column
+    // destination first.
+    const long long cross_src =
+        static_cast<long long>(hy - st.y0) * st.cax + (hx - st.x0);
+    const bool own_node =
+        hx >= st.x0 && hx < st.x1 && hy >= st.y0 && hy < st.y1;
+    // A source off every non-periodic face, in a geometry without solids,
+    // has only interior links: the classification is skipped (the hot path
+    // of dense periodic domains).
+    const bool all_interior =
+        !solids && (cx0_periodic || (hx > 0 && hx < ncx0 - 1)) &&
+        (L::D == 2 || cx1_periodic || (hy > 0 && hy < ncx1 - 1)) &&
+        (sweep_periodic || (s > 0 && s < S - 1));
+    const auto note = [&](const real_t* dst) {
+      if constexpr (kSan) {
+        // Conceptual GPU thread id of this phase-A source thread (unique
+        // per (hx, hy, s) within the block); racecheck attribution only.
+        const int rows = (L::D == 3) ? st.cay + 2 : 1;
+        const int row = (L::D == 3) ? hy - st.y0 + 1 : 0;
+        const int tid_a =
+            ((s % ts) * rows + row) * (st.cax + 2) + (hx - st.x0 + 1);
+        note_shared(blk, dst, tid_a, true);
+      }
+    };
     for (int i = 0; i < L::Q; ++i) {
       const real_t f = fv[i];
-      const auto& c = L::c[static_cast<std::size_t>(i)];
-      const int ld0 = hx + c[0];
-      const int ld1 = (L::D == 3) ? hy + c[1] : 0;
-      const int lds = s + c_sweep<L>(i);
-
-      bool bounce = false;
-      bool dropped = false;
-      real_t cu_wall = 0;
-      auto check_axis = [&](int axis, int coord, int extent, bool periodic) {
-        if (periodic || (coord >= 0 && coord < extent)) return;
-        const FaceSpec& face =
-            geo.bc.face[static_cast<std::size_t>(axis)][coord < 0 ? 0 : 1];
-        if (face.type == FaceBC::kWall) {
-          bounce = true;
-          for (int bb = 0; bb < 3; ++bb) {
-            cu_wall += static_cast<real_t>(c[bb]) *
-                       face.u_wall[static_cast<std::size_t>(bb)];
-          }
-        } else if (face.type == FaceBC::kOpen) {
-          dropped = true;
-        }
-      };
-      check_axis(0, ld0, ncx0, cx0_periodic);
-      if (L::D == 3) check_axis(1, ld1, ncx1, cx1_periodic);
-      check_axis(kSweepAxis, lds, S, sweep_periodic);
-
-      if (solids && !dropped && !bounce) {
-        // Static obstacle: a population streaming into a solid node returns
-        // to its source exactly like a zero-velocity wall face.
-        const int wx = (ld0 < 0 || ld0 >= ncx0) ? Box::wrap(ld0, ncx0) : ld0;
-        const int wy = (L::D == 3 && (ld1 < 0 || ld1 >= ncx1))
-                           ? Box::wrap(ld1, ncx1)
-                           : ld1;
-        const int ws = (lds < 0 || lds >= S) ? Box::wrap(lds, S) : lds;
-        if (is_solid(wx, wy, ws)) bounce = true;
-      }
-      if (dropped) continue;
-      if (bounce) {
-        // Half-way bounceback: the population returns to its source
-        // node; halo sources belong to the neighbouring column.
-        if (hx >= st.x0 && hx < st.x1 && hy >= st.y0 && hy < st.y1) {
+      const StreamTarget t =
+          all_interior ? StreamTarget{} : link(hx, hy, s, i);
+      if (t.kind == StreamTarget::Kind::kDropped) continue;
+      if (t.kind == StreamTarget::Kind::kBounce) {
+        // Half-way bounceback: the population returns to its source node;
+        // halo sources belong to the neighbouring column. A bounce across
+        // the periodic sweep wrap (off a solid node, or off a cross-axis
+        // wall corner) lands in a stash word: its only other producer would
+        // be the node beyond the wrap the bounce stands in for.
+        if (own_node) {
           const int j = L::opposite(i);
-          const std::size_t e =
-              static_cast<std::size_t>(cross_src) * L::Q +
-              static_cast<std::size_t>(j);
-          // On a periodic sweep axis, phase B reads the edge layers'
-          // wrap-crossing populations from the stashes, not the ring
-          // (those ring words are recycled before the final flush). A
-          // bounce off a solid node across the wrap — or off a cross-axis
-          // wall corner — produces exactly such a population: its only
-          // other producer would be the node beyond the wrap, which is the
-          // very solid/absent node the bounce stands in for.
-          real_t* dst;
-          if (sweep_periodic && s == 0 && c_sweep<L>(j) > 0) {
-            dst = &st.stash_hi[e];
-          } else if (sweep_periodic && s == S - 1 && c_sweep<L>(j) < 0) {
-            dst = &st.stash_lo[e];
-          } else {
-            dst = &st.ring[dst_base[1] + e];
-          }
+          real_t* dst = word(rt.own, static_cast<std::size_t>(cross_src), j);
           *dst = f - real_t(2) * L::w[static_cast<std::size_t>(i)] * rho *
-                         cu_wall * inv_cs2;
-          if constexpr (kSan) note_shared(blk, dst, tid_a, true);
+                         t.cu_wall * inv_cs2;
+          note(dst);
         }
         continue;
       }
       // Interior stream: only destinations inside this column are ours;
       // populations crossing into other columns are produced by those
       // columns' halo threads.
+      const auto& c = L::c[static_cast<std::size_t>(i)];
+      const int ld0 = hx + c[0];
+      const int ld1 = (L::D == 3) ? hy + c[1] : 0;
       if (ld0 < st.x0 || ld0 >= st.x1 || ld1 < st.y0 || ld1 >= st.y1) {
         continue;
       }
-      const std::size_t cross_dst = static_cast<std::size_t>(
+      const auto cross_dst = static_cast<std::size_t>(
           cross_src + ((L::D == 3) ? c[1] * st.cax : 0) + c[0]);
-      const std::size_t elem = cross_dst * L::Q + static_cast<std::size_t>(i);
-      real_t* dst;
-      if (lds >= 0 && lds < S) {
-        dst = &st.ring[dst_base[c_sweep<L>(i) + 1] + elem];
-      } else if (lds == -1) {
-        dst = &st.stash_lo[elem];  // wraps to S-1
-      } else {
-        assert(lds == S);
-        dst = &st.stash_hi[elem];  // wraps to 0
-      }
+      real_t* dst = word(rt.dst, cross_dst, i);
       *dst = f;
-      if constexpr (kSan) note_shared(blk, dst, tid_a, true);
+      note(dst);
     }
   };
 
   // A population whose source lies beyond an OPEN face has no producer:
-  // the reverse population is dropped by scatter_source instead of bounced,
-  // and there is no halo node to stream from, so its shared word stays
+  // the reverse link is dropped by scatter_source instead of bounced, and
+  // there is no halo node to stream from, so its shared word stays
   // unwritten — phase B would read it uninitialized (a genuine hazard on
   // real hardware; the host arena zero-fills, so writing zeros here is
-  // bit-identical). True iff any non-periodic axis the source position
-  // crosses carries an open face, mirroring scatter_source's drop rule
-  // (drop wins over bounce at open/wall corners).
-  auto is_open_hole = [&](int hx, int hy, int s, int i) {
-    const auto& c = L::c[static_cast<std::size_t>(L::opposite(i))];
-    bool open = false;
-    auto probe = [&](int axis, int coord, int extent, bool periodic) {
-      if (periodic || (coord >= 0 && coord < extent)) return;
-      if (geo.bc.face[static_cast<std::size_t>(axis)][coord < 0 ? 0 : 1]
-              .type == FaceBC::kOpen) {
-        open = true;
-      }
-    };
-    probe(0, hx + c[0], ncx0, cx0_periodic);
-    if (L::D == 3) probe(1, hy + c[1], ncx1, cx1_periodic);
-    probe(kSweepAxis, s + c_sweep<L>(L::opposite(i)), S, sweep_periodic);
-    return open;
-  };
-  // Zero-fills layer `s`'s orphaned words in the slot (or stash) phase B
-  // will read them from. Cold path: called only for columns touching an
-  // open face; the filled words have no other writer, so ordering against
-  // the rest of phase A is free.
+  // bit-identical). Zero-fills layer s's orphaned words. Cold path: called
+  // only for columns touching an open face; the filled words have no other
+  // writer, so ordering against the rest of phase A is free.
   auto fill_open_holes = [&](auto sanc, gpusim::BlockCtx& blk, ColState& st,
-                             int s) {
+                             int s, const Words& w) {
     constexpr bool kSan = decltype(sanc)::value;
     for (int hy = st.y0; hy < st.y1; ++hy) {
       for (int hx = st.x0; hx < st.x1; ++hx) {
-        const std::size_t node = cross_of(st, hx, hy);
+        const auto node = static_cast<std::size_t>(hy - st.y0) *
+                              static_cast<std::size_t>(st.cax) +
+                          static_cast<std::size_t>(hx - st.x0);
         for (int i = 0; i < L::Q; ++i) {
-          if (!is_open_hole(hx, hy, s, i)) continue;
-          const std::size_t e =
-              node * L::Q + static_cast<std::size_t>(i);
-          real_t* dst;
-          if (sweep_periodic && s == S - 1 && c_sweep<L>(i) < 0) {
-            dst = &st.stash_lo[e];
-          } else if (sweep_periodic && s == 0 && c_sweep<L>(i) > 0) {
-            dst = &st.stash_hi[e];
-          } else {
-            dst = &st.ring[slot_base(st, s) + e];
+          if (link(hx, hy, s, L::opposite(i)).kind !=
+              StreamTarget::Kind::kDropped) {
+            continue;
           }
+          real_t* dst = word(w, node, i);
           *dst = real_t(0);
           if constexpr (kSan) {
             note_shared(blk, dst, kPhaseBTid + static_cast<int>(node), true);
@@ -620,6 +607,43 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
   };
 
   // ---- Phase A: read + collide + reconstruct + stream into shared memory.
+  // Source walk of layer s: the column's nodes plus the one-node cross halo
+  // (wrapped on a periodic cross axis; none beyond a wall or open face),
+  // skipping unallocated columns and solid nodes. `visit(hx, hy, col)` gets
+  // the halo position and the compressed column id; `row_end()` follows
+  // each source row.
+  const auto walk_sources = [&](ColState& st, int s, auto&& visit,
+                                auto&& row_end) MLBM_ALWAYS_INLINE {
+    const int hy_lo = (L::D == 3) ? st.y0 - 1 : 0;
+    const int hy_hi = (L::D == 3) ? st.y1 : 0;
+    const int hx_lo = st.x0 - (shrink_halo ? 0 : 1);
+    const int hx_hi = st.x1 - (shrink_halo ? 1 : 0);
+    for (int hy = hy_lo; hy <= hy_hi; ++hy) {
+      int py = hy;
+      if (L::D == 3 && (hy < 0 || hy >= ncx1)) {
+        if (!cx1_periodic) continue;
+        py = Box::wrap(hy, ncx1);
+      }
+      for (int hx = hx_lo; hx <= hx_hi; ++hx) {
+        int px = hx;
+        if (hx < 0 || hx >= ncx0) {
+          if (!cx0_periodic) continue;
+          px = Box::wrap(hx, ncx0);
+        }
+        index_t col;
+        if (sparse) {
+          const std::int32_t cm = cmap_at(st, hx, hy);
+          if (cm < 0) continue;  // unallocated all-solid column
+          if (solids && is_solid(px, py, s)) continue;
+          col = cm;
+        } else {
+          col = static_cast<index_t>(py) * ncx0 + px;
+        }
+        visit(hx, hy, col);
+      }
+      row_end();
+    }
+  };
   // Generic over the sanitizer flag AND the regularization scheme: the
   // runtime enum is hoisted to a template argument at the launch site, so
   // the per-node reconstruction (and its per-population loop) carries no
@@ -627,10 +651,7 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
   auto phase_a = [&](auto sanc, auto regc, gpusim::BlockCtx& blk,
                      ColState& st, int k) {
     constexpr Regularization kReg = decltype(regc)::value;
-    const int s_begin = k * ts;
-    const int s_end = std::min(S, s_begin + ts);
-    const int hy_lo = (L::D == 3) ? st.y0 - 1 : 0;
-    const int hy_hi = (L::D == 3) ? st.y1 : 0;
+    const int s_end = std::min(S, (k + 1) * ts);
     // Open-face adjacency of this column: only such columns can hold
     // orphaned words (sweep-axis holes exist only on the first and last
     // layer).
@@ -646,248 +667,137 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
         (geo.bc.face[kSweepAxis][0].type == FaceBC::kOpen ||
          geo.bc.face[kSweepAxis][1].type == FaceBC::kOpen);
 
-    for (int s = s_begin; s < s_end; ++s) {
+    for (int s = k * ts; s < s_end; ++s) {
       const int sp = phys_layer(s, tt);
-      // Ring bases of the three possible destination layers s-1, s, s+1
-      // (indexed by c_sweep + 1) — one modulo per layer instead of one per
-      // population.
-      const std::size_t dst_base[3] = {slot_base(st, s - 1), slot_base(st, s),
-                                       slot_base(st, s + 1)};
+      const Route rt = route_from(st, s);
       if (col_open || (sweep_open && (s == 0 || s == S - 1))) {
-        fill_open_holes(sanc, blk, st, s);
+        fill_open_holes(sanc, blk, st, s, rt.own);
       }
-      for (int hy = hy_lo; hy <= hy_hi; ++hy) {
-        int py = hy;
-        if (L::D == 3 && (hy < 0 || hy >= ncx1)) {
-          if (!cx1_periodic) continue;  // no node beyond a wall/open face
-          py = Box::wrap(hy, ncx1);
-        }
-        const int hx_lo = st.x0 - (shrink_halo ? 0 : 1);
-        const int hx_hi = st.x1 - (shrink_halo ? 1 : 0);
-        if (lanes) {
-          // Lane-batched source row: compact the valid (possibly wrapped)
-          // sources into panels of kLaneWidth, run the moment collide and
-          // reconstruction lane-major, then scatter per lane. Loads and
-          // scatters are the scalar path's, panel-interleaved.
-          int hx = hx_lo;
-          while (hx <= hx_hi) {
-            int n = 0;
-            int lane_hx[kLaneWidth];
-            index_t lane_col[kLaneWidth];
-            for (; hx <= hx_hi && n < kLaneWidth; ++hx) {
-              int px = hx;
-              if (hx < 0 || hx >= ncx0) {
-                if (!cx0_periodic) continue;
-                px = Box::wrap(hx, ncx0);
-              }
-              if (sparse) {
-                const std::int32_t cm = cmap_at(st, hx, hy);
-                if (cm < 0) continue;  // unallocated all-solid column
-                if (solids && is_solid(px, py, s)) continue;
-                lane_col[n] = cm;
-              } else {
-                lane_col[n] = static_cast<index_t>(py) * ncx0 + px;
-              }
-              lane_hx[n] = hx;
-              ++n;
-            }
-            if (n == 0) break;
-            real_t rho_l[kLaneWidth];
-            real_t u_l[L::D][kLaneWidth];
-            real_t pim_l[NP][kLaneWidth];
-            for (int ln = 0; ln < n; ++ln) {
+      if (!lanes) {
+        walk_sources(
+            st, s,
+            [&](int hx, int hy, index_t col) MLBM_ALWAYS_INLINE {
+              // Read the node's M moments (Algorithm 2, lines 15-23),
+              // collide in moment space (Eq. 10), map to distribution space
+              // (Eq. 11 / Eq. 14) and stream into the shared ring.
               real_t mom[M];
-              if (batched) {
-                rbuf.template load_span_as<real_t>(
-                    gaddr(0, lane_col[ln], sp), mstride, M, mom);
-              } else {
-                for (int m = 0; m < M; ++m) {
-                  mom[m] = rbuf.template load_as<real_t>(
-                      gaddr(m, lane_col[ln], sp));
-                }
+              load_moments(col, sp, mom);
+              const real_t rho = mom[0];
+              real_t u[L::D];
+              for (int a = 0; a < L::D; ++a) u[a] = mom[1 + a];
+              real_t pineq_star[NP];
+              for (int p = 0; p < NP; ++p) {
+                const auto [pa, pb] = Moments<L>::pair(p);
+                pineq_star[p] =
+                    relax * (mom[1 + L::D + p] - rho * u[pa] * u[pb]);
               }
-              rho_l[ln] = mom[0];
-              for (int a = 0; a < L::D; ++a) u_l[a][ln] = mom[1 + a];
-              for (int p = 0; p < NP; ++p) pim_l[p][ln] = mom[1 + L::D + p];
-            }
-            real_t pineq_l[NP][kLaneWidth];
-            for (int p = 0; p < NP; ++p) {
-              const auto [pa, pb] = Moments<L>::pair(p);
-              MLBM_SIMD
-              for (int ln = 0; ln < n; ++ln) {
-                pineq_l[p][ln] =
-                    relax *
-                    (pim_l[p][ln] - rho_l[ln] * u_l[pa][ln] * u_l[pb][ln]);
-              }
-            }
-            const ReconstructorLanes<L, kReg, kLaneWidth> recon(n, rho_l, u_l,
-                                                                pineq_l);
-            real_t panel[L::Q][kLaneWidth];
-            for (int i = 0; i < L::Q; ++i) recon.eval(i, panel[i]);
-            for (int ln = 0; ln < n; ++ln) {
-              const int lhx = lane_hx[ln];
-              const int tid_a =
-                  ((s - s_begin) * (hy_hi - hy_lo + 1) + (hy - hy_lo)) *
-                      (st.cax + 2) +
-                  (lhx - st.x0 + 1);
-              const long long cross_src =
-                  static_cast<long long>(hy - st.y0) * st.cax +
-                  (lhx - st.x0);
+              const Reconstructor<L, kReg> recon(rho, u, pineq_star);
               real_t fv[L::Q];
-              for (int i = 0; i < L::Q; ++i) fv[i] = panel[i][ln];
-              scatter_source(sanc, blk, st, dst_base, s, lhx, hy, cross_src,
-                             tid_a, rho_l[ln], fv);
-            }
-          }
-          continue;
-        }
-        for (int hx = hx_lo; hx <= hx_hi; ++hx) {
-          int px = hx;
-          if (hx < 0 || hx >= ncx0) {
-            if (!cx0_periodic) continue;
-            px = Box::wrap(hx, ncx0);
-          }
-          index_t col;
-          if (sparse) {
-            const std::int32_t cm = cmap_at(st, hx, hy);
-            if (cm < 0) continue;  // unallocated all-solid column
-            if (solids && is_solid(px, py, s)) continue;
-            col = cm;
-          } else {
-            col = static_cast<index_t>(py) * ncx0 + px;
-          }
-          // Conceptual GPU thread id of this phase-A source thread (unique
-          // per (hx, hy, s) within the block); racecheck attribution only.
-          const int tid_a =
-              ((s - s_begin) * (hy_hi - hy_lo + 1) + (hy - hy_lo)) *
-                  (st.cax + 2) +
-              (hx - st.x0 + 1);
-          // Signed cross-section index of the source node; halo sources sit
-          // outside [0, cross), but every use below is offset to an
-          // in-column destination first.
-          const long long cross_src =
-              static_cast<long long>(hy - st.y0) * st.cax + (hx - st.x0);
-
-          // Read the node's M moments from global memory (Algorithm 2,
-          // lines 15-23) — one batched span transaction — and collide in
-          // moment space (Eq. 10).
-          real_t mom[M];
-          if (batched) {
-            rbuf.template load_span_as<real_t>(gaddr(0, col, sp), mstride, M,
-                                               mom);
-          } else {
-            for (int m = 0; m < M; ++m) {
-              mom[m] = rbuf.template load_as<real_t>(gaddr(m, col, sp));
-            }
-          }
-          const real_t rho = mom[0];
-          real_t u[L::D];
-          for (int a = 0; a < L::D; ++a) {
-            u[a] = mom[1 + a];
-          }
-          real_t pineq_star[NP];
-          for (int p = 0; p < NP; ++p) {
-            const auto [pa, pb] = Moments<L>::pair(p);
-            const real_t full = mom[1 + L::D + p];
-            pineq_star[p] = relax * (full - rho * u[pa] * u[pb]);
-          }
-          const Reconstructor<L, kReg> recon(rho, u, pineq_star);
-
-          // Map to distribution space (Eq. 11 / Eq. 14) and stream into the
-          // shared ring.
-          real_t fv[L::Q];
-          for (int i = 0; i < L::Q; ++i) fv[i] = recon(i);
-          scatter_source(sanc, blk, st, dst_base, s, hx, hy, cross_src,
-                         tid_a, rho, fv);
-        }
+              for (int i = 0; i < L::Q; ++i) fv[i] = recon(i);
+              scatter_source(sanc, blk, st, rt, s, hx, hy, rho, fv);
+            },
+            [] {});
+        continue;
       }
+      // Lane body: compact the walk's sources into panels of kLaneWidth
+      // (never across rows), collide and reconstruct lane-major, then
+      // scatter per lane — the scalar body's loads and scatters,
+      // panel-interleaved.
+      int n = 0;
+      int row = 0;
+      int lane_hx[kLaneWidth] = {};
+      index_t lane_col[kLaneWidth] = {};
+      const auto flush = [&] {
+        real_t rho_l[kLaneWidth];
+        real_t u_l[L::D][kLaneWidth];
+        real_t pim_l[NP][kLaneWidth];
+        for (int ln = 0; ln < n; ++ln) {
+          real_t mom[M];
+          load_moments(lane_col[ln], sp, mom);
+          rho_l[ln] = mom[0];
+          for (int a = 0; a < L::D; ++a) u_l[a][ln] = mom[1 + a];
+          for (int p = 0; p < NP; ++p) pim_l[p][ln] = mom[1 + L::D + p];
+        }
+        real_t pineq_l[NP][kLaneWidth];
+        for (int p = 0; p < NP; ++p) {
+          const auto [pa, pb] = Moments<L>::pair(p);
+          MLBM_SIMD
+          for (int ln = 0; ln < n; ++ln) {
+            pineq_l[p][ln] =
+                relax * (pim_l[p][ln] - rho_l[ln] * u_l[pa][ln] * u_l[pb][ln]);
+          }
+        }
+        const ReconstructorLanes<L, kReg, kLaneWidth> recon(n, rho_l, u_l,
+                                                            pineq_l);
+        real_t panel[L::Q][kLaneWidth];
+        for (int i = 0; i < L::Q; ++i) recon.eval(i, panel[i]);
+        for (int ln = 0; ln < n; ++ln) {
+          real_t fv[L::Q];
+          for (int i = 0; i < L::Q; ++i) fv[i] = panel[i][ln];
+          scatter_source(sanc, blk, st, rt, s, lane_hx[ln], row, rho_l[ln],
+                         fv);
+        }
+        n = 0;
+      };
+      walk_sources(
+          st, s,
+          [&](int hx, int hy, index_t col) {
+            lane_hx[n] = hx;
+            lane_col[n] = col;
+            row = hy;
+            if (++n == kLaneWidth) flush();
+          },
+          [&] {
+            if (n > 0) flush();
+          });
     }
   };
 
   // ---- Phase B: project completed layers back to moments and write them.
-  // `get` is a template parameter of the generic lambda: each per-direction
-  // getter instantiates its own write-back loop (no std::function on the
-  // per-node path), and the node's M moments leave as one batched span.
-  // Getters receive the flat cross-section node index (base of the node's Q
-  // populations is node * Q) so the hot plain-ring case is a contiguous copy.
-  auto write_layer_from = [&](ColState& st, int s, auto&& get) {
-    int sp = phys_layer(s, tt + 1);
-    // Seeded mutation: bias the circular write layer. Every biased slot
-    // assignment leaves (at least) one logical plane per step either stale
-    // or never written — exactly what the sanitizer's freshness shadow
-    // proves the correct shift never does.
-    if (wmut != 0) sp = (((sp + wmut) % (S + 2)) + (S + 2)) % (S + 2);
-    if (lanes) {
-      // Lane-batched re-projection: gather each panel's populations through
-      // the same getter (identical shared reads, identical order), reduce
-      // the moments lane-major, then store per lane with the same batched
-      // span calls — bit-identical values and traffic.
-      for (std::size_t p0 = 0; p0 < st.cross; p0 += kLaneWidth) {
-        const int n =
-            static_cast<int>(std::min<std::size_t>(kLaneWidth, st.cross - p0));
-        real_t fl[L::Q][kLaneWidth];
-        bool live[kLaneWidth];
-        index_t col_l[kLaneWidth];
-        for (int ln = 0; ln < n; ++ln) {
-          const std::size_t node = p0 + static_cast<std::size_t>(ln);
-          const int cx = st.x0 + static_cast<int>(
-                                     node % static_cast<std::size_t>(st.cax));
-          const int cy = st.y0 + static_cast<int>(
-                                     node / static_cast<std::size_t>(st.cax));
-          live[ln] = true;
-          if (sparse) {
-            const std::int32_t cm = cmap_at(st, cx, cy);
-            if (cm < 0 || (solids && is_solid(cx, cy, s))) {
-              // Solid node: its ring words were never written. Feed zeros
-              // through the panel (the result is discarded) instead of
-              // reading them.
-              live[ln] = false;
-              for (int i = 0; i < L::Q; ++i) fl[i][ln] = 0;
-              continue;
-            }
-            col_l[ln] = cm;
-          } else {
-            col_l[ln] = static_cast<index_t>(cy) * ncx0 + cx;
-          }
-          for (int i = 0; i < L::Q; ++i) fl[i][ln] = get(node, i);
-        }
-        real_t rho_l[kLaneWidth];
-        real_t u_l[L::D][kLaneWidth];
-        real_t pi_l[NP][kLaneWidth];
-        compute_moments_lanes<L, kLaneWidth>(fl, n, rho_l, u_l, pi_l);
-        for (int ln = 0; ln < n; ++ln) {
-          if (!live[ln]) continue;
-          real_t vals[M];
-          vals[0] = rho_l[ln];
-          for (int a = 0; a < L::D; ++a) vals[1 + a] = u_l[a][ln];
-          for (int p = 0; p < NP; ++p) vals[1 + L::D + p] = pi_l[p][ln];
-          if (batched) {
-            wbuf.template store_span_as<real_t>(gaddr(0, col_l[ln], sp),
-                                                mstride, M, vals);
-          } else {
-            for (int mm = 0; mm < M; ++mm) {
-              wbuf.template store_as<real_t>(gaddr(mm, col_l[ln], sp),
-                                             vals[mm]);
-            }
-          }
-        }
-      }
-      return;
-    }
+  // Node walk of layer s: the column's cross-section nodes in row-major
+  // order, skipping solid nodes (never streamed into, nothing to write
+  // back). `visit(node, col)` gets the flat cross-section index (the
+  // node's Q populations start at node * Q) and the compressed column id.
+  const auto walk_nodes = [&](ColState& st, int s,
+                              auto&& visit) MLBM_ALWAYS_INLINE {
     std::size_t node = 0;
     for (int cy = st.y0; cy < st.y1; ++cy) {
       for (int cx = st.x0; cx < st.x1; ++cx, ++node) {
         index_t col;
         if (sparse) {
           const std::int32_t cm = cmap_at(st, cx, cy);
-          // Solid node: never streamed into, nothing to write back.
           if (cm < 0 || (solids && is_solid(cx, cy, s))) continue;
           col = cm;
         } else {
           col = static_cast<index_t>(cy) * ncx0 + cx;
         }
+        visit(node, col);
+      }
+    }
+  };
+  // Re-projects layer s from the shared words `w` and stores each node's M
+  // moments. Phase-B threads are one-per-node write-back threads with a tid
+  // range disjoint from phase A's source threads.
+  auto write_layer = [&](auto sanc, gpusim::BlockCtx& blk, ColState& st,
+                         int s, const Words& w) {
+    constexpr bool kSan = decltype(sanc)::value;
+    int sp = phys_layer(s, tt + 1);
+    // Seeded mutation: bias the circular write layer. Every biased slot
+    // assignment leaves (at least) one logical plane per step either stale
+    // or never written — exactly what the sanitizer's freshness shadow
+    // proves the correct shift never does.
+    if (wmut != 0) sp = (((sp + wmut) % (S + 2)) + (S + 2)) % (S + 2);
+    const auto gather = [&](std::size_t node, int i) MLBM_ALWAYS_INLINE {
+      const real_t* src = word(w, node, i);
+      if constexpr (kSan) {
+        note_shared(blk, src, kPhaseBTid + static_cast<int>(node), false);
+      }
+      return *src;
+    };
+    if (!lanes) {
+      walk_nodes(st, s, [&](std::size_t node, index_t col) MLBM_ALWAYS_INLINE {
         real_t f[L::Q];
-        for (int i = 0; i < L::Q; ++i) f[i] = get(node, i);
+        for (int i = 0; i < L::Q; ++i) f[i] = gather(node, i);
         const Moments<L> m = compute_moments<L>(f);
         real_t vals[M];
         vals[0] = m.rho;
@@ -897,25 +807,39 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
         for (int p = 0; p < NP; ++p) {
           vals[1 + L::D + p] = m.pi[static_cast<std::size_t>(p)];
         }
-        if (batched) {
-          wbuf.template store_span_as<real_t>(gaddr(0, col, sp), mstride, M,
-                                              vals);
-        } else {
-          for (int mm = 0; mm < M; ++mm) {
-            wbuf.template store_as<real_t>(gaddr(mm, col, sp), vals[mm]);
-          }
-        }
-      }
+        store_moments(col, sp, vals);
+      });
+      return;
     }
+    // Lane body: gather panels of kLaneWidth nodes through the same reads
+    // (identical order), reduce the moments lane-major, store per lane.
+    int n = 0;
+    real_t fl[L::Q][kLaneWidth];
+    index_t col_l[kLaneWidth] = {};
+    const auto flush = [&] {
+      real_t rho_l[kLaneWidth];
+      real_t u_l[L::D][kLaneWidth];
+      real_t pi_l[NP][kLaneWidth];
+      compute_moments_lanes<L, kLaneWidth>(fl, n, rho_l, u_l, pi_l);
+      for (int ln = 0; ln < n; ++ln) {
+        real_t vals[M];
+        vals[0] = rho_l[ln];
+        for (int a = 0; a < L::D; ++a) vals[1 + a] = u_l[a][ln];
+        for (int p = 0; p < NP; ++p) vals[1 + L::D + p] = pi_l[p][ln];
+        store_moments(col_l[ln], sp, vals);
+      }
+      n = 0;
+    };
+    walk_nodes(st, s, [&](std::size_t node, index_t col) {
+      for (int i = 0; i < L::Q; ++i) fl[i][n] = gather(node, i);
+      col_l[n] = col;
+      if (++n == kLaneWidth) flush();
+    });
+    if (n > 0) flush();
   };
 
   auto phase_b = [&](auto sanc, gpusim::BlockCtx& blk, ColState& st, int k) {
     constexpr bool kSan = decltype(sanc)::value;
-    // Phase-B threads are one-per-node write-back threads; give them a tid
-    // range disjoint from phase A's source threads.
-    auto note_b = [&](const real_t* addr, std::size_t node, bool write) {
-      note_shared(blk, addr, kPhaseBTid + static_cast<int>(node), write);
-    };
     // Layers complete after phase A of level k: all s <= (k+1) ts - 2 (their
     // last contribution streams down from source layer s+1). The final level
     // (k == ntiles) flushes the remainder, for which the top layer's missing
@@ -925,64 +849,33 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
         (k < ntiles) ? std::min((k + 1) * ts - 2, S - 2) : S - 1;
     for (; st.next_write <= limit; ++st.next_write) {
       const int s = st.next_write;
+      const Words w = layer_words(st, s);
       if (sweep_periodic && s == 0) {
         // Layer 0 still lacks the upward-streaming populations from layer
         // S-1 (processed only at the last level); snapshot its ring slot
-        // before the window recycles it and write it at the end.
-        for (int cy = st.y0; cy < st.y1; ++cy) {
-          for (int cx = st.x0; cx < st.x1; ++cx) {
-            // Solid layer-0 node: its slot-0 words were never written and
-            // the final flush skips it; nothing to snapshot.
-            if (sparse && (cmap_at(st, cx, cy) < 0 ||
-                           (solids && is_solid(cx, cy, 0)))) {
-              continue;
-            }
-            const std::size_t node = cross_of(st, cx, cy);
-            for (int i = 0; i < L::Q; ++i) {
-              // Upward-streaming populations of layer 0 arrive from layer
-              // S-1 via stash_hi, not the ring: their slot-0 words are never
-              // written, and the final flush never reads their snap0 copies.
-              // Skipping them avoids copying uninitialized shared words.
-              if (c_sweep<L>(i) > 0) continue;
-              real_t& src = ring_at(st, 0, cx, cy, i);
-              real_t& dst = stash_at(st.snap0, st, cx, cy, i);
-              dst = src;
-              if constexpr (kSan) {
-                note_b(&src, node, false);
-                note_b(&dst, node, true);
-              }
+        // before the window recycles it and write it at the end. Those
+        // upward populations arrive via stash_hi, not the ring: their
+        // slot-0 words are never written, so they are not copied.
+        walk_nodes(st, 0, [&](std::size_t node, index_t) {
+          for (int i = 0; i < L::Q; ++i) {
+            if (c_sweep<L>(i) > 0) continue;
+            const real_t* src = word(w, node, i);
+            real_t* dst = &st.snap0[node * L::Q + static_cast<std::size_t>(i)];
+            *dst = *src;
+            if constexpr (kSan) {
+              note_shared(blk, src, kPhaseBTid + static_cast<int>(node), false);
+              note_shared(blk, dst, kPhaseBTid + static_cast<int>(node), true);
             }
           }
-        }
-        continue;
-      }
-      if (sweep_periodic && s == S - 1) {
-        const std::size_t base = slot_base(st, s);
-        write_layer_from(st, s, [&](std::size_t node, int i) {
-          const std::size_t e = node * L::Q + static_cast<std::size_t>(i);
-          const real_t* src =
-              c_sweep<L>(i) < 0 ? &st.stash_lo[e] : &st.ring[base + e];
-          if constexpr (kSan) note_b(src, node, false);
-          return *src;
         });
         continue;
       }
-      const std::size_t base = slot_base(st, s);
-      write_layer_from(st, s, [&](std::size_t node, int i) {
-        const real_t* src =
-            &st.ring[base + node * L::Q + static_cast<std::size_t>(i)];
-        if constexpr (kSan) note_b(src, node, false);
-        return *src;
-      });
+      write_layer(sanc, blk, st, s, w);
     }
     if (k == ntiles && sweep_periodic) {
-      write_layer_from(st, 0, [&](std::size_t node, int i) {
-        const std::size_t e = node * L::Q + static_cast<std::size_t>(i);
-        const real_t* src =
-            c_sweep<L>(i) > 0 ? &st.stash_hi[e] : &st.snap0[e];
-        if constexpr (kSan) note_b(src, node, false);
-        return *src;
-      });
+      Words w = layer_words(st, 0);
+      w[0] = w[1] = st.snap0.data();
+      write_layer(sanc, blk, st, 0, w);
     }
   };
 
@@ -1014,7 +907,7 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
   // Hoist both runtime flags (sanitizer presence, regularization scheme) to
   // template arguments of the level body: 4 instantiations, zero per-node
   // branches.
-  dispatch_regularization(scheme, [&](auto regc) {
+  dispatch_regularization(scheme_, [&](auto regc) {
     if (sanh != nullptr) {
       run(std::true_type{}, regc);
     } else {

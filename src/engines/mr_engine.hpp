@@ -236,6 +236,9 @@ class MrEngine final : public Engine<L> {
 
   /// Sweep-axis extent and ring capacity (circular shift).
   [[nodiscard]] int sweep_extent() const;
+  /// Sweep layers of one moment lattice: S (ping-pong) or S + 2 (circular
+  /// shift).
+  [[nodiscard]] index_t moment_layers() const;
   /// Physical sweep layer of logical layer `s` at timestep `t`.
   [[nodiscard]] int phys_layer(int s, long long t) const;
   /// Compressed column id of cross-section position (cx0, cx1): the flat
@@ -250,8 +253,9 @@ class MrEngine final : public Engine<L> {
   void write_moments_raw(int cx0, int cx1, int s, long long t,
                          const Moments<L>& m);
 
-  void ensure_records();
-  void ensure_frontier_record();
+  /// Cached kernel record of the whole-step (or interior) launches, or of
+  /// the frontier launches of a split step; registered on first use.
+  gpusim::KernelRecord& record(bool frontier);
   /// Number of column tiles along cross axis 0 (x).
   [[nodiscard]] int tiles_x() const;
   /// One level-synced launch covering column tiles [c0_begin,
